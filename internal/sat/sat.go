@@ -10,6 +10,14 @@
 // Long-lived incremental sessions keep learning: an activity-based
 // learnt-clause deletion policy (SetLearntCap) bounds the database so
 // session memory stays flat over arbitrarily many queries.
+//
+// Branching takes the unassigned variable of highest activity from a
+// binary order heap, as MiniSat does, so a decision costs O(log n) in
+// the number of variables rather than a scan over all of them. The
+// heap breaks activity ties by the lower variable index. That order is
+// part of the contract: it is the pick of a plain scan for the maximum,
+// so decisions, learnt clauses, models and the Stats counters depend
+// only on the clauses, scopes and queries a caller issues.
 package sat
 
 import "sort"
@@ -72,6 +80,16 @@ type Solver struct {
 	reason   []*clause
 	activity []float64
 	varInc   float64
+
+	// order is a binary heap of variables keyed on (activity desc,
+	// index asc); heapPos[v] is v's slot in it, or -1. It holds every
+	// unassigned variable and possibly some assigned ones, which
+	// pickBranchVar discards lazily. int32 suffices: a Lit holds a
+	// variable index in 31 bits.
+	order   []int32
+	heapPos []int32
+	// onPick, when set, observes every branching pick (tests only).
+	onPick func(v int)
 
 	trail    []Lit
 	trailLim []int
@@ -166,8 +184,10 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
+	s.heapPos = append(s.heapPos, -1)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.heapInsert(v)
 	return v
 }
 
@@ -377,6 +397,87 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling keeps the activity order but can round two distinct
+		// activities to one value, whose tie the index must now break.
+		s.heapify()
+		return
+	}
+	if p := s.heapPos[v]; p >= 0 {
+		s.siftUp(int(p))
+	}
+}
+
+// before reports whether variable a branches ahead of b: higher
+// activity first, and on equal activity the lower index.
+func (s *Solver) before(a, b int32) bool {
+	x, y := s.activity[a], s.activity[b]
+	return x > y || x == y && a < b
+}
+
+func (s *Solver) heapInsert(v int) {
+	if s.heapPos[v] >= 0 {
+		return
+	}
+	s.heapPos[v] = int32(len(s.order))
+	s.order = append(s.order, int32(v))
+	s.siftUp(len(s.order) - 1)
+}
+
+// heapPop removes and returns the first variable in branching order.
+func (s *Solver) heapPop() int32 {
+	top := s.order[0]
+	last := s.order[len(s.order)-1]
+	s.order = s.order[:len(s.order)-1]
+	s.heapPos[top] = -1
+	if len(s.order) > 0 {
+		s.order[0] = last
+		s.heapPos[last] = 0
+		s.siftDown(0)
+	}
+	return top
+}
+
+func (s *Solver) siftUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(v, s.order[p]) {
+			break
+		}
+		s.order[i] = s.order[p]
+		s.heapPos[s.order[i]] = int32(i)
+		i = p
+	}
+	s.order[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+func (s *Solver) siftDown(i int) {
+	v := s.order[i]
+	n := len(s.order)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.before(s.order[c+1], s.order[c]) {
+			c++
+		}
+		if !s.before(s.order[c], v) {
+			break
+		}
+		s.order[i] = s.order[c]
+		s.heapPos[s.order[i]] = int32(i)
+		i = c
+	}
+	s.order[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+// heapify restores the heap order over the current entries.
+func (s *Solver) heapify() {
+	for i := len(s.order)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
 	}
 }
 
@@ -527,6 +628,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.polarity[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
 		s.reason[v] = nil
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -534,15 +636,21 @@ func (s *Solver) cancelUntil(lvl int) {
 }
 
 // pickBranchVar returns the unassigned variable with the highest
-// activity, or -1 if all variables are assigned.
+// activity, the lowest index among equals, or -1 if all variables are
+// assigned. It takes the variable off the order heap; cancelUntil puts
+// it back when the decision is undone.
 func (s *Solver) pickBranchVar() int {
-	best, bestAct := -1, -1.0
-	for v := range s.assigns {
-		if s.assigns[v] == lUndef && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	v := -1
+	for len(s.order) > 0 {
+		if top := s.heapPop(); s.assigns[top] == lUndef {
+			v = int(top)
+			break
 		}
 	}
-	return best
+	if s.onPick != nil {
+		s.onPick(v)
+	}
+	return v
 }
 
 // Solve determines satisfiability of the accumulated clauses. After a

@@ -75,12 +75,23 @@ func pigeonhole(s *Solver, pigeons, holes int) {
 	}
 }
 
+// The Stats pins in this file fix the search trajectory: they were
+// recorded with the linear-scan branching the order heap replaced, and
+// any change to the decision order moves them.
+func checkStats(t *testing.T, s *Solver, decisions, conflicts int64) {
+	t.Helper()
+	if d, c := s.Stats(); d != decisions || c != conflicts {
+		t.Errorf("Stats() = %d decisions, %d conflicts; pinned %d, %d", d, c, decisions, conflicts)
+	}
+}
+
 func TestPigeonholeUnsat(t *testing.T) {
 	s := New()
 	pigeonhole(s, 6, 5)
 	if s.Solve() {
 		t.Fatal("PHP(6,5) must be UNSAT")
 	}
+	checkStats(t, s, 183, 144)
 }
 
 func TestPigeonholeSat(t *testing.T) {
@@ -89,6 +100,7 @@ func TestPigeonholeSat(t *testing.T) {
 	if !s.Solve() {
 		t.Fatal("PHP(5,5) must be SAT")
 	}
+	checkStats(t, s, 10, 0)
 }
 
 // bruteForce decides satisfiability of a clause set over nVars
@@ -235,6 +247,7 @@ func TestAssumptionQueries(t *testing.T) {
 
 func TestRandomAssumptionQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
+	var decisions, conflicts int64
 	for trial := 0; trial < 150; trial++ {
 		nVars := 4 + r.Intn(6)
 		s := New()
@@ -287,6 +300,12 @@ func TestRandomAssumptionQueries(t *testing.T) {
 					trial, q, got, want, clauses, assumptions)
 			}
 		}
+		d, c := s.Stats()
+		decisions += d
+		conflicts += c
+	}
+	if decisions != 86 || conflicts != 0 {
+		t.Errorf("batch Stats() = %d decisions, %d conflicts; pinned 86, 0", decisions, conflicts)
 	}
 }
 
@@ -605,6 +624,163 @@ func TestScopedLearntDeletion(t *testing.T) {
 		s.Pop()
 		if got := s.Solve(); got != baseWant {
 			t.Fatalf("cycle %d after pop: solver=%v brute=%v", cycle, got, baseWant)
+		}
+	}
+}
+
+// TestSessionTrajectory pins a long-lived push/pop session with
+// conflicts, learnt-clause deletion and models: the counters and the
+// digest of every model must not move.
+func TestSessionTrajectory(t *testing.T) {
+	for _, tc := range []struct {
+		seed                 int64
+		cap                  int
+		decisions, conflicts int64
+		models               uint64
+	}{
+		{2, 0, 2468, 56, 0x8f5ea424ae5d2a85},
+		{3, 20, 2314, 49, 0xa456794a579f760e},
+	} {
+		s := New()
+		s.SetLearntCap(tc.cap)
+		sat, models := sessionScopes(s, tc.seed, 40, 6, 8)
+		if sat != 40 || models != tc.models {
+			t.Errorf("seed %d: %d SAT answers, model digest %#x; pinned 40, %#x", tc.seed, sat, models, tc.models)
+		}
+		checkStats(t, s, tc.decisions, tc.conflicts)
+	}
+}
+
+// scanPick is the linear scan the order heap replaced, kept as the
+// reference: the unassigned variable of highest activity, the first
+// among equals.
+func scanPick(s *Solver) int {
+	best, bestAct := -1, -1.0
+	for v := range s.assigns {
+		if s.assigns[v] == lUndef && s.activity[v] > bestAct {
+			best, bestAct = v, s.activity[v]
+		}
+	}
+	return best
+}
+
+// checkHeap verifies the order heap: positions match entries, no entry
+// branches ahead of its parent, and every unassigned variable except
+// skip is queued.
+func checkHeap(t *testing.T, s *Solver, skip int) {
+	t.Helper()
+	if len(s.heapPos) != s.NumVars() {
+		t.Fatalf("%d heap positions for %d variables", len(s.heapPos), s.NumVars())
+	}
+	for i, v := range s.order {
+		if s.heapPos[v] != int32(i) {
+			t.Fatalf("heap slot %d holds var %d, whose position is %d", i, v, s.heapPos[v])
+		}
+		if i > 0 && s.before(v, s.order[(i-1)/2]) {
+			t.Fatalf("heap order broken at slot %d (var %d)", i, v)
+		}
+	}
+	for v, p := range s.heapPos {
+		if p < 0 && v != skip && s.assigns[v] == lUndef {
+			t.Fatalf("unassigned var %d missing from the heap", v)
+		}
+	}
+}
+
+// checkPicks makes every decision of s assert that the heap picked what
+// the reference scan picks. It returns a counter of checked decisions.
+func checkPicks(t *testing.T, s *Solver) *int {
+	n := new(int)
+	s.onPick = func(v int) {
+		if want := scanPick(s); v != want {
+			t.Fatalf("heap picked var %d, scan picks %d", v, want)
+		}
+		checkHeap(t, s, v)
+		*n++
+	}
+	return n
+}
+
+// randomSession applies ops random operations to s: clauses, scopes,
+// assumption queries and fresh variables, checking the heap after each.
+func randomSession(t *testing.T, s *Solver, r *rand.Rand, ops int) {
+	lit := func() Lit {
+		l := Pos(r.Intn(s.NumVars()))
+		if r.Intn(2) == 0 {
+			l = l.Not()
+		}
+		return l
+	}
+	clause := func() []Lit {
+		c := make([]Lit, 2+r.Intn(3))
+		for i := range c {
+			c[i] = lit()
+		}
+		return c
+	}
+	for op := 0; op < ops && !s.Unsat(); op++ {
+		switch k := r.Intn(10); {
+		case k < 3:
+			s.AddClause(clause()...)
+		case k < 5:
+			s.AddScoped(clause()...)
+		case k == 5:
+			s.Push()
+		case k == 6:
+			if s.ScopeDepth() > 0 {
+				s.Pop()
+			}
+		case k == 7:
+			s.NewVar()
+		case k == 8:
+			s.Solve()
+		default:
+			as := make([]Lit, r.Intn(4))
+			for i := range as {
+				as[i] = lit()
+			}
+			s.SolveUnder(as...)
+		}
+		checkHeap(t, s, -1)
+	}
+}
+
+// TestOrderHeapMatchesScan drives random sessions and checks every
+// decision against the reference scan.
+func TestOrderHeapMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(2024))
+	total := 0
+	for trial := 0; trial < 60; trial++ {
+		s := New()
+		s.SetLearntCap(4 + r.Intn(12))
+		for i, n := 0, 10+r.Intn(30); i < n; i++ {
+			s.NewVar()
+		}
+		n := checkPicks(t, s)
+		randomSession(t, s, r, 200)
+		total += *n
+	}
+	if total < 1000 {
+		t.Fatalf("only %d decisions checked", total)
+	}
+}
+
+// TestOrderHeapRescale forces the activity rescale after activities
+// have grown tiny, so scaling rounds distinct activities to zero and
+// the heap must re-establish the index tie-break.
+func TestOrderHeapRescale(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		s := New()
+		s.SetLearntCap(8)
+		n := checkPicks(t, s)
+		s.varInc = 1e-250
+		sessionScopes(s, seed, 20, 6, 8)
+		checkHeap(t, s, -1)
+		s.varInc = 1e100
+		sessionScopes(s, seed+100, 20, 6, 8)
+		checkHeap(t, s, -1)
+		if s.varInc >= 1e100 {
+			t.Fatalf("seed %d: no activity rescale in %d decisions", seed, *n)
 		}
 	}
 }
