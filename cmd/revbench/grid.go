@@ -45,9 +45,9 @@ type gridCell struct {
 	// independent counter baselines.
 	ShardFactor int `json:"shard_factor,omitempty"`
 	// Scenario tags cells outside the plain solver grid; the
-	// coordinator straggler cells use "straggler-static" and
-	// "straggler-steal" (one slow peer, static hash dispatch vs the
-	// capacity-aware work queue).
+	// coordinator straggler cells use "straggler-nosteal" and
+	// "straggler-steal" (one slow peer, the work queue with stealing
+	// off vs on).
 	Scenario string `json:"scenario,omitempty"`
 	// Wall-clock milliseconds for the whole four-driver workload (one
 	// coordinator job for the straggler cells).
@@ -60,8 +60,8 @@ type gridCell struct {
 	CacheHits     int64 `json:"cache_hits"`
 	ModelHits     int64 `json:"model_hits"`
 	CoveredBlocks int   `json:"covered_blocks"`
-	// SpeedupX, on the straggler-steal cell, is the static cell's mean
-	// divided by this cell's mean: how much the work queue recovers
+	// SpeedupX, on the straggler-steal cell, is the no-steal cell's
+	// mean divided by this cell's mean: how much stealing recovers
 	// from one slow peer.
 	SpeedupX float64 `json:"speedup_x,omitempty"`
 }

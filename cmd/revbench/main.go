@@ -35,7 +35,7 @@ func main() {
 		repeats  = flag.Int("repeats", 3, "repetitions per grid cell (with -grid)")
 		gridOut  = flag.String("grid-out", "BENCH_9.json", "grid report output path (with -grid; '-' for stdout)")
 		gridCSV  = flag.String("csv", "", "also export every individual grid run as CSV to this path (with -grid)")
-		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (static vs work-stealing dispatch with one slow peer) in the grid")
+		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (work queue with stealing off vs on, one slow peer) in the grid")
 		shardFac = flag.Int("shard-factor", 0, "shard-group granularity multiplier for the experiment runs: 0 auto-sizes (results are identical for a fixed value)")
 	)
 	flag.Parse()

@@ -10,8 +10,8 @@
 //	        [-data-dir DIR] [-max-job-wall 0] [-per-client 0]
 //	        [-retain-count 256] [-retain-age 0] [-max-body 8388608]
 //	        [-peers URL,URL,...] [-coordinator] [-shard-pool 2]
-//	        [-probe-interval 5s] [-solver core|smalldomain|portfolio]
-//	        [-portfolio]
+//	        [-probe-interval 5s] [-no-steal] [-steal-after 750ms]
+//	        [-solver core|smalldomain|portfolio] [-portfolio]
 //
 // Jobs run on a bounded pool; each job explores inside its own
 // expression arena, so finished jobs release all their interned
@@ -27,11 +27,12 @@
 // process exits.
 //
 // Cluster mode: with -coordinator, each job's deterministic fork-join
-// shard groups are fanned out to the -peers instances over POST
-// /shards, with per-shard timeouts, retries, hedged requests and
-// per-peer circuit breakers; shards no peer can serve run locally, so
-// a job completes as long as this node lives, and the merged result
-// is bit-identical to a single-node run. Every revnicd serves /shards
+// shard groups enter a work queue that the -peers instances pull from
+// over POST /shards, with per-shard timeouts, retries, re-dispatch of
+// straggling shards (off with -no-steal) and per-peer circuit
+// breakers; shards no peer can serve run locally, so a job completes
+// as long as this node lives, and the merged result is bit-identical
+// to a single-node run. Every revnicd serves /shards
 // (bounded by -shard-pool) whether or not it coordinates, so a
 // symmetric cluster just points each node at the others.
 //
@@ -79,7 +80,6 @@ func main() {
 		coordinator   = flag.Bool("coordinator", false, "fan job shards out to -peers (local fallback guaranteed)")
 		shardPool     = flag.Int("shard-pool", 2, "remote shards served concurrently before 503")
 		noSteal       = flag.Bool("no-steal", false, "disable work-stealing re-dispatch of straggler shards (results are identical)")
-		staticDisp    = flag.Bool("static-dispatch", false, "dispatch each shard to its hash-selected peer instead of the capacity-aware work queue (results are identical)")
 		stealAfter    = flag.Duration("steal-after", 0, "minimum in-flight time before a shard counts as a straggler (0 = default 750ms)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second, "peer health-probe period (0 = no probing)")
 		backend       = flag.String("solver", "", "default solver backend for specs that omit solver_backend: "+strings.Join(solver.BackendNames(), ", ")+" (default core; results are identical)")
@@ -104,17 +104,16 @@ func main() {
 		}
 	}
 	svc, err := jobsvc.Open(jobsvc.Config{
-		Pool:           *pool,
-		QueueDepth:     *queue,
-		MaxJobWall:     *maxJobWall,
-		PerClientCap:   *perClient,
-		RetainCount:    *retainCount,
-		RetainAge:      *retainAge,
-		MaxBodyBytes:   *maxBody,
-		DataDir:        *dataDir,
-		Coordinator:    *coordinator,
-		ShardPool:      *shardPool,
-		StaticDispatch: *staticDisp,
+		Pool:         *pool,
+		QueueDepth:   *queue,
+		MaxJobWall:   *maxJobWall,
+		PerClientCap: *perClient,
+		RetainCount:  *retainCount,
+		RetainAge:    *retainAge,
+		MaxBodyBytes: *maxBody,
+		DataDir:      *dataDir,
+		Coordinator:  *coordinator,
+		ShardPool:    *shardPool,
 		Cluster: cluster.Config{
 			Peers:           peerList,
 			Logf:            log.Printf,

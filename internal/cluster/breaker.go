@@ -1,9 +1,10 @@
 // Package cluster implements the fault-tolerant shard dispatch layer
-// of revnicd's coordinator mode: a Dispatcher that fans work out to
-// peers over a pluggable Transport with per-attempt timeouts, bounded
-// retries under deterministic exponential backoff, hedged requests
-// for stragglers, a per-peer circuit breaker, and a guaranteed local
-// fallback — a job completes as long as one node is alive.
+// of revnicd's coordinator mode: a Dispatcher whose work queue lets
+// peers pull work over a pluggable Transport, with per-attempt
+// timeouts, bounded retries under deterministic exponential backoff,
+// re-dispatch of straggling items, a per-peer circuit breaker, and a
+// guaranteed local fallback — a job completes as long as one node is
+// alive.
 //
 // The package is deliberately generic over []byte payloads so it has
 // no dependency on the symbolic-execution layer; revnicd's job

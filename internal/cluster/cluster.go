@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 )
@@ -20,18 +19,14 @@ type Config struct {
 	Transport Transport
 	// AttemptTimeout bounds each remote attempt. Default 60s.
 	AttemptTimeout time.Duration
-	// MaxAttempts is how many remote attempts (each possibly hedged)
-	// are made before the local fallback. Default 3.
+	// MaxAttempts is how many remote attempts an item gets before the
+	// local fallback takes it over. Default 3.
 	MaxAttempts int
 	// BackoffBase and BackoffCap shape the retry pauses. Defaults
 	// 100ms and 5s.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// HedgeDelay launches a second attempt on another peer when the
-	// first has not answered within this delay. Zero disables
-	// hedging.
-	HedgeDelay time.Duration
-	// Seed feeds the deterministic jitter and peer selection.
+	// Seed feeds the deterministic backoff jitter.
 	Seed int64
 	// PeerSlots is how many queue items one peer executes
 	// concurrently in RunQueue (its pull width). Default 2.
@@ -47,9 +42,6 @@ type Config struct {
 	// items still pull-balance across peers, but an item stuck on a
 	// slow peer is never duplicated onto a faster one.
 	DisableStealing bool
-	// DisableWeighting makes pickPeer ignore the EWMA tracker and
-	// scan the hash-seeded peer ring exactly as earlier versions did.
-	DisableWeighting bool
 	// StealInterval is how often RunQueue re-examines in-flight items
 	// for stragglers (and wakes workers waiting out a backoff).
 	// Default 25ms.
@@ -65,7 +57,7 @@ type Config struct {
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker BreakerConfig
 	// Logf, when set, receives one line per notable event (retry,
-	// hedge, breaker rejection, fallback).
+	// steal, fallback, failed probe).
 	Logf func(format string, args ...any)
 }
 
@@ -100,10 +92,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Dispatcher fans payloads out to peers with retries, hedging and
-// per-peer circuit breaking, falling back to local execution when
-// remote delivery fails. It is safe for concurrent use; revnicd runs
-// one dispatch per shard group concurrently.
+// Dispatcher runs batches of payloads on peers through a pull-based
+// work queue (RunQueue) with retries, straggler stealing and per-peer
+// circuit breaking, falling back to local execution when remote
+// delivery fails. It is safe for concurrent use; revnicd runs one
+// queue per shard phase of every running job.
 type Dispatcher struct {
 	cfg Config
 
@@ -147,153 +140,10 @@ func (d *Dispatcher) logf(format string, args ...any) {
 
 // attemptResult is the outcome of one remote attempt.
 type attemptResult struct {
-	peer       string
 	body       []byte
 	err        error
 	overload   bool
 	retryAfter time.Duration
-}
-
-// Do delivers payload to some peer and returns the accepted response
-// body, running local() instead when no peer can serve it. key names
-// the work unit (revnicd uses "jobID/phase/seq/index"); it seeds the
-// deterministic jitter and spreads shards across peers. accept
-// validates a response body before it is trusted — a torn or
-// malformed body fails accept and is retried like any other peer
-// failure. local is the guaranteed fallback and is invoked at most
-// once, after remote delivery is abandoned.
-func (d *Dispatcher) Do(ctx context.Context, key string, payload []byte, accept func([]byte) error, local func() ([]byte, error)) ([]byte, error) {
-	if len(d.cfg.Peers) == 0 || d.cfg.Transport == nil {
-		return d.fallback(key, local, "no peers configured")
-	}
-	start := int(hash64(d.cfg.Seed, key, -1) % uint64(len(d.cfg.Peers)))
-	var lastErr error
-	for attempt := 0; attempt < d.cfg.MaxAttempts; attempt++ {
-		if ctx.Err() != nil {
-			lastErr = ctx.Err()
-			break
-		}
-		if attempt > 0 {
-			delay := backoffDelay(d.cfg.BackoffBase, d.cfg.BackoffCap, attempt, d.cfg.Seed, key)
-			if err := sleepCtx(ctx, delay); err != nil {
-				lastErr = err
-				break
-			}
-		}
-		peer, ok := d.pickPeer(start, attempt, "")
-		if !ok {
-			d.logf("cluster: %s: every peer breaker is open", key)
-			lastErr = fmt.Errorf("every peer breaker open")
-			break
-		}
-		if attempt > 0 {
-			d.metrics.add(peer, func(s *peerStats) { s.retries++ })
-			d.logf("cluster: %s: retry %d on %s", key, attempt, peer)
-		}
-		res := d.attemptHedged(ctx, key, peer, start, attempt, payload, accept)
-		if res.err == nil {
-			return res.body, nil
-		}
-		lastErr = res.err
-		if res.overload && res.retryAfter > 0 {
-			d.logf("cluster: %s: %s overloaded, honoring Retry-After %s", key, res.peer, res.retryAfter)
-			if err := sleepCtx(ctx, res.retryAfter); err != nil {
-				lastErr = err
-				break
-			}
-		}
-	}
-	reason := "remote attempts exhausted"
-	if lastErr != nil {
-		reason = fmt.Sprintf("remote attempts exhausted (last: %v)", lastErr)
-	}
-	return d.fallback(key, local, reason)
-}
-
-// pickPeer chooses the weighted-least-loaded admissible peer: the
-// candidate ring is ordered by EWMA-latency × inflight score (lowest
-// first), ties broken by the deterministic hash-seeded ring position,
-// and the first peer whose breaker admits the request wins. With no
-// samples yet every score is zero, so selection degenerates to the
-// original pure-hash ring scan — which is also what DisableWeighting
-// forces. The excluded peer is skipped (a hedge never doubles up on
-// the primary). Breakers are only consulted for peers actually
-// considered, in order, so a half-open trial slot is never claimed by
-// a peer that loses the selection.
-func (d *Dispatcher) pickPeer(start, attempt int, exclude string) (string, bool) {
-	n := len(d.cfg.Peers)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = (start + attempt + i) % n
-	}
-	if !d.cfg.DisableWeighting {
-		scores := make([]float64, n)
-		for _, idx := range order {
-			scores[idx] = d.tracker.score(d.cfg.Peers[idx])
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return scores[order[a]] < scores[order[b]]
-		})
-	}
-	for _, idx := range order {
-		p := d.cfg.Peers[idx]
-		if p == exclude {
-			continue
-		}
-		if d.breaker(p).Allow() {
-			return p, true
-		}
-	}
-	return "", false
-}
-
-// attemptHedged runs one attempt against primary, launching a hedge
-// request on another peer if the primary has not answered within
-// HedgeDelay. The first success wins; with no success the last
-// failure is returned.
-func (d *Dispatcher) attemptHedged(ctx context.Context, key, primary string, start, attempt int, payload []byte, accept func([]byte) error) attemptResult {
-	ch := make(chan attemptResult, 2)
-	// A panicking Transport must fail the attempt, not kill the
-	// process: these goroutines have no caller to recover for them.
-	try := func(peer string) {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- attemptResult{peer: peer, err: fmt.Errorf("%s: transport panic: %v", peer, r)}
-			}
-		}()
-		ch <- d.tryPeer(ctx, peer, payload, accept)
-	}
-	go try(primary)
-	launched, received := 1, 0
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if d.cfg.HedgeDelay > 0 && len(d.cfg.Peers) > 1 {
-		hedgeTimer = time.NewTimer(d.cfg.HedgeDelay)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-	var last attemptResult
-	for received < launched {
-		select {
-		case res := <-ch:
-			received++
-			if res.err == nil {
-				return res
-			}
-			last = res
-		case <-hedgeC:
-			hedgeC = nil
-			hp, ok := d.pickPeer(start, attempt+1, primary)
-			if !ok {
-				continue
-			}
-			d.metrics.add(hp, func(s *peerStats) { s.hedges++ })
-			d.logf("cluster: %s: hedging %s with %s after %s", key, primary, hp, d.cfg.HedgeDelay)
-			go try(hp)
-			launched++
-		}
-	}
-	return last
 }
 
 // errShardWon is the cancellation cause RunQueue attaches when an
@@ -321,13 +171,13 @@ func (d *Dispatcher) tryPeer(ctx context.Context, peer string, payload []byte, a
 		if errors.Is(context.Cause(ctx), errShardWon) {
 			// Cancelled because the item already finished elsewhere —
 			// not evidence about this peer's health. Release the
-			// half-open trial slot pickPeer may have claimed.
+			// half-open trial slot the claiming worker may have taken.
 			br.Forgive()
-			return attemptResult{peer: peer, err: err}
+			return attemptResult{err: err}
 		}
 		br.Record(false)
 		d.metrics.add(peer, func(s *peerStats) { s.failures++ })
-		return attemptResult{peer: peer, err: err}
+		return attemptResult{err: err}
 	}
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", peer, err))
@@ -337,7 +187,6 @@ func (d *Dispatcher) tryPeer(ctx context.Context, peer string, payload []byte, a
 		// without poisoning its breaker.
 		d.metrics.add(peer, func(s *peerStats) { s.overloads++ })
 		return attemptResult{
-			peer:       peer,
 			err:        fmt.Errorf("%s: overloaded (503)", peer),
 			overload:   true,
 			retryAfter: resp.RetryAfter,
@@ -352,31 +201,7 @@ func (d *Dispatcher) tryPeer(ctx context.Context, peer string, payload []byte, a
 	br.Record(true)
 	success = true
 	d.metrics.add(peer, func(s *peerStats) { s.successes++ })
-	return attemptResult{peer: peer, body: resp.Body}
-}
-
-// fallback runs the local path and counts it.
-func (d *Dispatcher) fallback(key string, local func() ([]byte, error), reason string) ([]byte, error) {
-	d.logf("cluster: %s: local fallback (%s)", key, reason)
-	d.metrics.mu.Lock()
-	d.metrics.fallbacks++
-	d.metrics.mu.Unlock()
-	return local()
-}
-
-// sleepCtx pauses for delay unless the context ends first.
-func sleepCtx(ctx context.Context, delay time.Duration) error {
-	if delay <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(delay)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return attemptResult{body: resp.Body}
 }
 
 // StartProber begins periodic health probes of every configured peer,

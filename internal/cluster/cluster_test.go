@@ -3,8 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,170 +41,236 @@ func testDispatcher(ft *FaultTransport, peers []string, tweak func(*Config)) *Di
 	return NewDispatcher(cfg)
 }
 
-func peerTotals(s Snapshot) (attempts, retries, failures, overloads, hedges int64) {
+func peerTotals(s Snapshot) (attempts, retries, failures, overloads int64) {
 	for _, p := range s.Peers {
 		attempts += p.Attempts
 		retries += p.Retries
 		failures += p.Failures
 		overloads += p.Overloads
-		hedges += p.Hedges
 	}
 	return
 }
 
+// mustRunQueue runs items through d's work queue, failing the test on a
+// queue error.
+func mustRunQueue(t *testing.T, d *Dispatcher, items []QueueItem) [][]byte {
+	t.Helper()
+	bodies, err := d.RunQueue(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bodies) != len(items) {
+		t.Fatalf("got %d bodies for %d items", len(bodies), len(items))
+	}
+	return bodies
+}
+
+// slowLocal is the local execution cost of the fault tests' items:
+// long enough that the local capacity slot holds at most one item
+// while the peers work through the rest. Each test faults the first
+// two sends to each peer, so whichever peer serves at least three of
+// the six items faults twice; the local slot can absorb at most one
+// faulted item, and a peer retries the other.
+const slowLocal = 400 * time.Millisecond
+
+// faultFirstTwo scripts the first two sends to each peer with f, and
+// allows enough attempts that no item exhausts them.
+func faultFirstTwo(ft *FaultTransport, f Fault) func(*Config) {
+	for _, p := range []string{"p1", "p2"} {
+		ft.Script(p, f, f)
+	}
+	return func(c *Config) { c.MaxAttempts = 5 }
+}
+
+// TestDispatcherHealthyPath: with every peer healthy a batch settles
+// without any fallback; the local capacity slot holds at most one slow
+// item while the peers serve the rest.
 func TestDispatcherHealthyPath(t *testing.T) {
 	ft := NewFaultTransport(echoHandler)
 	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	body, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("local fallback invoked on healthy path")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	local := 0
+	for i, body := range mustRunQueue(t, d, queueItemsWork(6, slowLocal, nil, nil)) {
+		if !strings.Contains(string(body), `"len":6`) {
+			t.Fatalf("body %d: unexpected %s", i, body)
+		}
+		if jsonPeerIs(body, "local") {
+			local++
+		}
 	}
-	if !strings.Contains(string(body), `"len":1`) {
-		t.Fatalf("unexpected body %s", body)
+	if local > 1 {
+		t.Fatalf("%d items ran locally on a healthy cluster, want at most 1", local)
 	}
-	if s := d.Snapshot(); s.Fallbacks != 0 {
+	s := d.Snapshot()
+	if s.Fallbacks != 0 {
 		t.Fatalf("fallbacks = %d, want 0", s.Fallbacks)
 	}
-}
-
-func TestDispatcherRetriesDropThenSucceeds(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	for _, p := range []string{"p1", "p2"} {
-		ft.Script(p, Fault{Drop: true})
-	}
-	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	_, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked though retries could succeed")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, retries, failures, _, _ := peerTotals(d.Snapshot())
-	if retries < 1 || failures < 1 {
-		t.Fatalf("retries=%d failures=%d, want both >= 1", retries, failures)
+	if _, _, failures, _ := peerTotals(s); failures != 0 {
+		t.Fatalf("peer failures = %d on a healthy cluster", failures)
 	}
 }
 
-func TestDispatcherTornBodyRetried(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	for _, p := range []string{"p1", "p2"} {
-		ft.Script(p, Fault{Torn: true})
-	}
-	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
-	body, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked though a retry could succeed")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acceptJSON(body); err != nil {
-		t.Fatalf("returned body is not valid JSON: %v", err)
-	}
-}
-
+// TestDispatcherAllPeersDeadFallsBackLocal: with every peer dead the
+// item still settles, from exactly one local execution.
 func TestDispatcherAllPeersDeadFallsBackLocal(t *testing.T) {
 	ft := NewFaultTransport(echoHandler)
 	ft.Kill("p1")
 	ft.Kill("p2")
 	d := testDispatcher(ft, []string{"p1", "p2"}, nil)
 	var localRuns atomic.Int64
-	body, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		localRuns.Add(1)
-		return []byte(`{"peer":"local"}`), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != `{"peer":"local"}` {
-		t.Fatalf("unexpected body %s", body)
+	bodies := mustRunQueue(t, d, []QueueItem{{
+		Key:     "k",
+		Payload: []byte("x"),
+		Accept:  acceptJSON,
+		Local: func() ([]byte, error) {
+			localRuns.Add(1)
+			return []byte(`{"peer":"local"}`), nil
+		},
+	}})
+	if string(bodies[0]) != `{"peer":"local"}` {
+		t.Fatalf("unexpected body %s", bodies[0])
 	}
 	if localRuns.Load() != 1 {
 		t.Fatalf("local ran %d times, want exactly 1", localRuns.Load())
 	}
-	if s := d.Snapshot(); s.Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", s.Fallbacks)
+	if s := d.Snapshot(); s.Fallbacks+s.LocalPulls != 1 {
+		t.Fatalf("fallbacks+localPulls = %d+%d, want 1 local execution", s.Fallbacks, s.LocalPulls)
 	}
 }
 
+// TestDispatcherNoPeersRunsLocalDirectly: with no peers configured the
+// transport is never used, and every item runs on a local slot as a
+// plain pull rather than as a fallback from failed remote attempts.
 func TestDispatcherNoPeersRunsLocalDirectly(t *testing.T) {
 	d := testDispatcher(NewFaultTransport(echoHandler), nil, nil)
-	body, err := d.Do(context.Background(), "k", nil, acceptJSON, func() ([]byte, error) {
-		return []byte(`{}`), nil
-	})
-	if err != nil || string(body) != `{}` {
-		t.Fatalf("body=%s err=%v", body, err)
+	for i, body := range mustRunQueue(t, d, queueItems(3, nil, nil)) {
+		if !jsonPeerIs(body, "local") {
+			t.Fatalf("body %d not from local execution: %s", i, body)
+		}
 	}
-	if s := d.Snapshot(); s.Fallbacks != 1 {
-		t.Fatalf("fallbacks = %d, want 1", s.Fallbacks)
+	s := d.Snapshot()
+	if s.Fallbacks != 0 || s.LocalPulls != 3 {
+		t.Fatalf("fallbacks=%d localPulls=%d, want 0/3", s.Fallbacks, s.LocalPulls)
+	}
+	if attempts, _, _, _ := peerTotals(s); attempts != 0 {
+		t.Fatalf("remote attempts = %d with no peers", attempts)
 	}
 }
 
+// TestDispatcherRetriesDropThenSucceeds: dropped connections are
+// retried on a peer and settle remotely, and the retries are counted.
+func TestDispatcherRetriesDropThenSucceeds(t *testing.T) {
+	ft := NewFaultTransport(echoHandler)
+	d := testDispatcher(ft, []string{"p1", "p2"}, faultFirstTwo(ft, Fault{Drop: true}))
+	mustRunQueue(t, d, queueItemsWork(6, slowLocal, nil, nil))
+	s := d.Snapshot()
+	_, retries, failures, _ := peerTotals(s)
+	if retries < 1 || failures < 1 {
+		t.Fatalf("retries=%d failures=%d, want both >= 1", retries, failures)
+	}
+	if s.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d though retries could succeed", s.Fallbacks)
+	}
+}
+
+// TestDispatcherTornBodyRetried: a body cut off mid-transfer fails
+// Accept like any peer failure; the item is retried, never merged
+// torn, and never falls back.
+func TestDispatcherTornBodyRetried(t *testing.T) {
+	ft := NewFaultTransport(echoHandler)
+	d := testDispatcher(ft, []string{"p1", "p2"}, faultFirstTwo(ft, Fault{Torn: true}))
+	for i, body := range mustRunQueue(t, d, queueItemsWork(6, slowLocal, nil, nil)) {
+		if err := acceptJSON(body); err != nil {
+			t.Fatalf("body %d is not valid JSON: %v", i, err)
+		}
+	}
+	s := d.Snapshot()
+	_, retries, failures, _ := peerTotals(s)
+	if retries < 1 || failures < 1 {
+		t.Fatalf("retries=%d failures=%d, want both >= 1", retries, failures)
+	}
+	if s.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d though retries could succeed", s.Fallbacks)
+	}
+}
+
+// sendLog wraps a transport and records when each payload was sent.
+type sendLog struct {
+	Transport
+	mu    sync.Mutex
+	times map[string][]time.Time
+}
+
+func (l *sendLog) Send(ctx context.Context, peer string, body []byte) (*Response, error) {
+	l.mu.Lock()
+	l.times[string(body)] = append(l.times[string(body)], time.Now())
+	l.mu.Unlock()
+	return l.Transport.Send(ctx, peer, body)
+}
+
+// TestDispatcherOverloadIsNotBreakerFailure: a 503 is overload, not
+// failure. It neither counts as a failure nor trips the breaker, and
+// the item's next remote attempt waits out the peer's Retry-After.
 func TestDispatcherOverloadIsNotBreakerFailure(t *testing.T) {
+	const retryAfter = 60 * time.Millisecond
 	ft := NewFaultTransport(echoHandler)
 	// Enough 503s to trip the breaker if they counted as failures.
 	for _, p := range []string{"p1", "p2"} {
 		for i := 0; i < 2; i++ {
-			ft.Script(p, Fault{Status: 503, RetryAfter: time.Millisecond})
+			ft.Script(p, Fault{Status: 503, RetryAfter: retryAfter})
 		}
 	}
+	log := &sendLog{Transport: ft, times: map[string][]time.Time{}}
 	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
+		c.Transport = log
 		c.Breaker = BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5}
 		c.MaxAttempts = 5
 	})
-	_, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked though peers would recover")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustRunQueue(t, d, queueItemsWork(6, slowLocal, nil, nil))
 	s := d.Snapshot()
-	_, _, failures, overloads, _ := peerTotals(s)
+	_, _, failures, overloads := peerTotals(s)
 	if overloads < 1 {
 		t.Fatalf("overloads = %d, want >= 1", overloads)
 	}
 	if failures != 0 {
 		t.Fatalf("failures = %d, want 0 (503 must not count)", failures)
 	}
+	if s.Fallbacks != 0 {
+		t.Fatalf("fallbacks = %d though peers would recover", s.Fallbacks)
+	}
 	for _, p := range s.Peers {
 		if p.Breaker != "closed" {
 			t.Fatalf("peer %s breaker %s after 503s, want closed", p.Peer, p.Breaker)
 		}
 	}
-}
-
-func TestDispatcherHedgesSlowPrimary(t *testing.T) {
-	ft := NewFaultTransport(echoHandler)
-	d := testDispatcher(ft, []string{"p1", "p2"}, func(c *Config) {
-		c.HedgeDelay = 10 * time.Millisecond
-		c.AttemptTimeout = 5 * time.Second
-	})
-	// Whichever peer the deterministic selection makes primary, make
-	// it a straggler; the hedge on the other peer must win.
-	primary, _ := d.pickPeer(int(hash64(42, "k", -1)%2), 0, "")
-	ft.Script(primary, Fault{Latency: 2 * time.Second})
-	start := time.Now()
-	_, err := d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) {
-		t.Fatal("fallback invoked")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	resent := 0
+	for payload, times := range log.times {
+		for i := 1; i < len(times); i++ {
+			resent++
+			if gap := times[i].Sub(times[i-1]); gap < retryAfter {
+				t.Fatalf("%s re-sent %s after a 503, before its %s Retry-After", payload, gap, retryAfter)
+			}
+		}
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not rescue the straggler: took %s", elapsed)
-	}
-	_, _, _, _, hedges := peerTotals(d.Snapshot())
-	if hedges != 1 {
-		t.Fatalf("hedges = %d, want 1", hedges)
+	if resent == 0 {
+		t.Fatal("no overloaded item was re-sent; the scenario did not engage")
 	}
 }
 
+// tripBreaker runs queues against d until peer's breaker leaves the
+// closed state.
+func tripBreaker(t *testing.T, d *Dispatcher, peer string) {
+	t.Helper()
+	for round := 0; round < 20; round++ {
+		mustRunQueue(t, d, queueItemsWork(4, 20*time.Millisecond, nil, nil))
+		if d.breaker(peer).State() != BreakerClosed {
+			return
+		}
+	}
+	t.Fatalf("%s breaker still closed after 20 queues against a dead peer", peer)
+}
+
+// TestDispatcherBreakerSkipsDeadPeer: once a dead peer's breaker is
+// open, no further sends reach it.
 func TestDispatcherBreakerSkipsDeadPeer(t *testing.T) {
 	ft := NewFaultTransport(echoHandler)
 	ft.Kill("p1")
@@ -212,18 +278,10 @@ func TestDispatcherBreakerSkipsDeadPeer(t *testing.T) {
 		c.Breaker = BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Hour}
 		c.MaxAttempts = 2
 	})
-	// Dispatch repeatedly; once p1's breaker opens, no further sends
-	// reach it.
-	for i := 0; i < 6; i++ {
-		d.Do(context.Background(), fmt.Sprintf("k%d", i), []byte("x"), acceptJSON, func() ([]byte, error) {
-			return []byte(`{}`), nil
-		})
-	}
+	tripBreaker(t, d, "p1")
 	tripped := ft.Sends("p1")
-	for i := 0; i < 6; i++ {
-		d.Do(context.Background(), fmt.Sprintf("m%d", i), []byte("x"), acceptJSON, func() ([]byte, error) {
-			return []byte(`{}`), nil
-		})
+	for i := 0; i < 3; i++ {
+		mustRunQueue(t, d, queueItems(6, nil, nil))
 	}
 	if after := ft.Sends("p1"); after != tripped {
 		t.Fatalf("open breaker let %d more sends through to dead peer", after-tripped)
@@ -245,11 +303,8 @@ func TestProberReclosesRecoveredPeer(t *testing.T) {
 	d := testDispatcher(ft, []string{"p1"}, func(c *Config) {
 		c.Breaker = BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Millisecond}
 	})
-	// Trip the breaker through failed dispatches.
-	d.Do(context.Background(), "k", []byte("x"), acceptJSON, func() ([]byte, error) { return []byte(`{}`), nil })
-	if st := d.breaker("p1").State(); st == BreakerClosed {
-		t.Fatal("breaker still closed after dispatch to dead peer")
-	}
+	// Trip the breaker through failed queue attempts.
+	tripBreaker(t, d, "p1")
 	// Peer comes back; the prober's successful probe is the half-open
 	// trial that recloses the breaker.
 	ft.mu.Lock()

@@ -149,3 +149,18 @@ func (f *FaultTransport) Probe(ctx context.Context, peer string) error {
 	}
 	return nil
 }
+
+// sleepCtx pauses for delay unless the context ends first.
+func sleepCtx(ctx context.Context, delay time.Duration) error {
+	if delay <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}

@@ -9,7 +9,6 @@ import (
 type peerStats struct {
 	attempts  int64
 	retries   int64
-	hedges    int64
 	successes int64
 	failures  int64
 	overloads int64
@@ -64,7 +63,6 @@ type PeerSnapshot struct {
 	Peer      string
 	Attempts  int64
 	Retries   int64
-	Hedges    int64
 	Successes int64
 	Failures  int64
 	Overloads int64
@@ -121,7 +119,6 @@ func (d *Dispatcher) Snapshot() Snapshot {
 			Peer:      n,
 			Attempts:  s.attempts,
 			Retries:   s.retries,
-			Hedges:    s.hedges,
 			Successes: s.successes,
 			Failures:  s.failures,
 			Overloads: s.overloads,

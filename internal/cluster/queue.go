@@ -7,16 +7,17 @@ import (
 	"time"
 )
 
-// This file is the coordinator work queue: instead of assigning each
-// shard to one hash-selected peer up front (Do), a whole phase's
-// shards are enqueued at once and *pulled* — every peer worker (and
-// the local fallback) claims the next unclaimed item the moment it is
-// idle, so fast peers naturally take more work and a slow peer holds
-// at most its in-flight items. A straggler — an item in flight longer
-// than an EWMA-derived threshold — is re-dispatched to another idle
-// worker with first-completion-wins: whichever attempt finishes first
-// settles the item and cancels the other (the loser's failure is
-// forgiven everywhere — breakers, counters, latency estimates).
+// This file is the coordinator work queue, the only way work leaves
+// a Dispatcher: instead of assigning each shard to a peer up front, a
+// whole phase's shards are enqueued at once and *pulled* — every peer
+// worker (and the local fallback) claims the next unclaimed item the
+// moment it is idle, so fast peers naturally take more work and a
+// slow peer holds at most its in-flight items. A straggler — an item
+// in flight longer than an EWMA-derived threshold — is re-dispatched
+// to another idle worker with first-completion-wins: whichever
+// attempt finishes first settles the item and cancels the other (the
+// loser's failure is forgiven everywhere — breakers, counters,
+// latency estimates).
 // Execution is idempotent and every item settles exactly once, so
 // scheduling decides only where and when a shard runs, never what the
 // caller merges.
@@ -79,10 +80,12 @@ type runQueue struct {
 // RunQueue executes every item — remotely where peers have capacity,
 // locally otherwise — and returns the result bodies in item order.
 // It returns when every item has settled, when any item becomes
-// unrunnable (its local execution failed), or when ctx ends. The
-// dispatcher's retry, backoff, breaker and overload machinery applies
-// per attempt exactly as in Do; stealing and the local pull policy
-// are tuned by Config.
+// unrunnable (its local execution failed), or when ctx ends. Every
+// remote attempt is bounded by AttemptTimeout and gated by the peer's
+// breaker; a failed attempt backs the item off deterministically (or
+// for the peer's Retry-After on a 503) before its next attempt, and
+// after MaxAttempts the item falls back to local execution. Stealing
+// and the local pull policy are tuned by Config.
 func (d *Dispatcher) RunQueue(ctx context.Context, items []QueueItem) ([][]byte, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -265,6 +268,12 @@ func (q *runQueue) peerWorker(p string) {
 			q.d.metrics.bump(func(m *metrics) { m.steals++ })
 			q.d.logf("cluster: %s: stealing from %s onto %s after %s",
 				it.it.Key, it.inflight[0].peer, p, time.Since(it.inflight[0].started).Round(time.Millisecond))
+		} else if it.remoteAttempts > 0 {
+			// A fresh claim of an item whose earlier remote attempts
+			// failed is a retry; a steal duplicates a live attempt
+			// and is counted as a steal instead.
+			q.d.metrics.add(p, func(s *peerStats) { s.retries++ })
+			q.d.logf("cluster: %s: retry %d on %s", it.it.Key, it.remoteAttempts, p)
 		}
 		q.mu.Unlock()
 

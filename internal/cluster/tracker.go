@@ -18,11 +18,12 @@ type peerLoad struct {
 	inflight int64
 }
 
-// tracker maintains per-peer load estimates for the weighted selector
-// and the work-stealing threshold. Latency samples come from
-// successful attempts only — failures and timeouts feed the circuit
-// breakers, which gate selection separately, and a cancelled attempt's
-// partial duration estimates nothing.
+// tracker maintains per-peer load estimates for the work queue's
+// steal threshold and no-downgrade check, and for the per-peer
+// gauges. Latency samples come from successful attempts only —
+// failures and timeouts feed the circuit breakers, which gate
+// admission separately, and a cancelled attempt's partial duration
+// estimates nothing.
 type tracker struct {
 	mu    sync.Mutex
 	peers map[string]*peerLoad
@@ -66,20 +67,6 @@ func (t *tracker) finish(peer string, d time.Duration, success bool) {
 		l.samples++
 	}
 	t.mu.Unlock()
-}
-
-// score is the weighted-least-loaded selection key: expected latency
-// scaled by queue depth. An unsampled peer scores 0 — unknown capacity
-// is tried first, which both spreads initial load and collects the
-// samples everything else here feeds on.
-func (t *tracker) score(peer string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	l := t.peers[peer]
-	if l == nil || l.samples == 0 {
-		return 0
-	}
-	return l.ewmaMS * float64(1+l.inflight)
 }
 
 // ewma returns the peer's latency estimate in milliseconds and whether

@@ -22,7 +22,7 @@ import (
 // summary is bit-identical to a single-node run of the same spec —
 // the shard decomposition, task identities and merge order are pure
 // functions of the spec, and shard execution itself is idempotent, so
-// retries, hedges and local fallbacks cannot change the result. The
+// retries, steals and local fallbacks cannot change the result. The
 // one exception is arena_nodes: a coordinator's arena never interns
 // the intermediate expressions remote shards allocate on their own
 // peers, so that gauge of allocator load is mode-dependent by nature.
@@ -49,130 +49,65 @@ func shardKey(task *symexec.ShardTask) string {
 	return fmt.Sprintf("%s/%d/%d", task.Phase, task.Seq, task.Index)
 }
 
-// shardRunner adapts the cluster dispatcher to symexec.ShardRunner
-// for one job: it serializes tasks, consults the journal-replayed
-// shard cache, dispatches with retries/hedging/breakers, journals
-// dispatch and completion, and deserializes results.
-type shardRunner struct {
-	s   *Service
-	j   *job
-	ctx context.Context
+// queuedShard is one shard of one job handed to dispatchShards.
+type queuedShard struct {
+	// key names the shard in the journal (shardKey, fuzzShardKey).
+	key string
+	// env carries the shard's Task or Fuzz; dispatchShards fills in
+	// the job spec and remaining deadline.
+	env shardEnvelope
+	// accept validates a result body before it is trusted, whether it
+	// came from a peer or from the journal.
+	accept func([]byte) error
+	// local executes the shard on this node and returns its body.
+	local func() ([]byte, error)
 }
 
-func (r *shardRunner) RunShard(task *symexec.ShardTask, local func() (*symexec.ShardResult, error)) (*symexec.ShardResult, error) {
-	key := shardKey(task)
-	if raw, ok := r.j.shardCache[key]; ok {
-		// Journal replay already holds this shard's result from the
-		// previous incarnation; reuse it instead of re-dispatching.
-		var res symexec.ShardResult
-		if err := json.Unmarshal(raw, &res); err == nil {
-			r.s.m.shardsReplayed.Add(1)
-			return &res, nil
-		}
-		// An unreadable cached result is re-executed, never trusted.
-	}
-	env := shardEnvelope{Spec: r.j.Spec, Task: task}
-	if dl, ok := r.ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		env.DeadlineMS = ms
-	}
-	payload, err := json.Marshal(env)
-	if err != nil {
-		return nil, err
-	}
-	r.s.journalAppend(journalRecord{
-		T: recShardDispatched, ID: r.j.ID, TS: time.Now(), Key: key,
-	}, false)
-	body, err := r.s.dispatcher.Do(r.ctx, r.j.ID+"/"+key, payload, acceptShardResult,
-		func() ([]byte, error) {
-			res, err := local()
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res)
-		})
-	if err != nil {
-		return nil, err
-	}
-	var res symexec.ShardResult
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, fmt.Errorf("jobsvc: shard %s: decode result: %w", key, err)
-	}
-	// Journal the completed shard compactly (the body may be indented
-	// JSON; the journal is line-oriented) so a coordinator crash after
-	// this point replays with the shard already collected.
-	if compact, err := json.Marshal(&res); err == nil {
-		r.s.journalAppend(journalRecord{
-			T: recShardDone, ID: r.j.ID, TS: time.Now(), Key: key, Result: compact,
-		}, false)
-	}
-	return &res, nil
-}
-
-// RunShardQueue is the batch form the engine prefers: a whole phase's
-// shard tasks enter the dispatcher's capacity-aware work queue at
-// once, where idle peers pull them, dispatch is weighted by observed
-// latency, and straggler shards are re-dispatched first-completion-
-// wins. Journal-replayed shards are pre-filled and never re-enter the
-// queue; each settling shard is journaled from the queue's OnDone
-// callback, preserving crash-replay behavior. Scheduling only decides
-// where and when a shard runs — the returned results are in task
-// order and the caller's seed-order merge is untouched.
-func (r *shardRunner) RunShardQueue(tasks []*symexec.ShardTask, local func(*symexec.ShardTask) (*symexec.ShardResult, error)) ([]*symexec.ShardResult, error) {
-	results := make([]*symexec.ShardResult, len(tasks))
+// dispatchShards runs one job's shards through the dispatcher's work
+// queue and returns their result bodies in shard order. A shard whose
+// result the journal replayed from a previous incarnation is reused
+// without re-entering the queue — but only if it passes the same
+// accept check as a peer's body, since the journal is a trust
+// boundary too; a rejected record is re-executed. Every dispatched
+// shard is journaled as dispatched, and as done (compactly, from the
+// queue's OnDone) the moment it settles, so a coordinator crash
+// mid-phase replays with the settled shards already collected.
+func (s *Service) dispatchShards(ctx context.Context, j *job, shards []queuedShard) ([][]byte, error) {
+	bodies := make([][]byte, len(shards))
 	var deadlineMS int64
-	if dl, ok := r.ctx.Deadline(); ok {
-		deadlineMS = time.Until(dl).Milliseconds()
-		if deadlineMS < 1 {
-			deadlineMS = 1
-		}
+	if dl, ok := ctx.Deadline(); ok {
+		deadlineMS = max(time.Until(dl).Milliseconds(), 1)
 	}
-	items := make([]cluster.QueueItem, 0, len(tasks))
-	idxs := make([]int, 0, len(tasks)) // queue position → task index
-	for i, task := range tasks {
-		key := shardKey(task)
-		if raw, ok := r.j.shardCache[key]; ok {
-			var res symexec.ShardResult
-			if err := json.Unmarshal(raw, &res); err == nil {
-				r.s.m.shardsReplayed.Add(1)
-				results[i] = &res
-				continue
-			}
-			// An unreadable cached result is re-executed, never trusted.
+	items := make([]cluster.QueueItem, 0, len(shards))
+	idxs := make([]int, 0, len(shards)) // queue position → shard index
+	for i, sh := range shards {
+		if raw, ok := j.shardCache[sh.key]; ok && sh.accept(raw) == nil {
+			s.m.shardsReplayed.Add(1)
+			bodies[i] = raw
+			continue
 		}
-		payload, err := json.Marshal(shardEnvelope{Spec: r.j.Spec, Task: task, DeadlineMS: deadlineMS})
+		env := sh.env
+		env.Spec, env.DeadlineMS = j.Spec, deadlineMS
+		payload, err := json.Marshal(env)
 		if err != nil {
 			return nil, err
 		}
-		r.s.journalAppend(journalRecord{
-			T: recShardDispatched, ID: r.j.ID, TS: time.Now(), Key: key,
+		s.journalAppend(journalRecord{
+			T: recShardDispatched, ID: j.ID, TS: time.Now(), Key: sh.key,
 		}, false)
-		task := task
+		key := sh.key
 		items = append(items, cluster.QueueItem{
-			Key:     r.j.ID + "/" + key,
+			Key:     j.ID + "/" + key,
 			Payload: payload,
-			Accept:  acceptShardResult,
-			Local: func() ([]byte, error) {
-				res, err := local(task)
-				if err != nil {
-					return nil, err
-				}
-				return json.Marshal(res)
-			},
+			Accept:  sh.accept,
+			Local:   sh.local,
 			OnDone: func(body []byte) {
-				// Journal the completed shard compactly, exactly as the
-				// per-shard path does, so a coordinator crash mid-phase
-				// replays with the settled shards already collected.
-				var res symexec.ShardResult
-				if err := json.Unmarshal(body, &res); err != nil {
-					return
-				}
-				if compact, err := json.Marshal(&res); err == nil {
-					r.s.journalAppend(journalRecord{
-						T: recShardDone, ID: r.j.ID, TS: time.Now(), Key: key, Result: compact,
+				// The journal is line-oriented; a peer's body may be
+				// indented.
+				var compact bytes.Buffer
+				if json.Compact(&compact, body) == nil {
+					s.journalAppend(journalRecord{
+						T: recShardDone, ID: j.ID, TS: time.Now(), Key: key, Result: compact.Bytes(),
 					}, false)
 				}
 			},
@@ -180,30 +115,59 @@ func (r *shardRunner) RunShardQueue(tasks []*symexec.ShardTask, local func(*syme
 		idxs = append(idxs, i)
 	}
 	if len(items) == 0 {
-		return results, nil
+		return bodies, nil
 	}
-	bodies, err := r.s.dispatcher.RunQueue(r.ctx, items)
+	out, err := s.dispatcher.RunQueue(ctx, items)
 	if err != nil {
 		return nil, err
 	}
-	for qi, body := range bodies {
-		var res symexec.ShardResult
-		if err := json.Unmarshal(body, &res); err != nil {
-			return nil, fmt.Errorf("jobsvc: shard %s: decode result: %w", items[qi].Key, err)
-		}
-		results[idxs[qi]] = &res
+	for qi, body := range out {
+		bodies[idxs[qi]] = body
 	}
-	return results, nil
+	return bodies, nil
 }
 
-// staticRunner exposes only the per-shard RunShard method, hiding the
-// batch queue interface: the engine then falls back to hash-selected
-// per-shard dispatch — the pre-queue scheduler, kept for A/B
-// benchmarking (Config.StaticDispatch).
-type staticRunner struct{ r *shardRunner }
+// shardRunner adapts the cluster dispatcher to symexec.ShardRunner
+// for one job: a whole phase's shard tasks enter the work queue at
+// once (dispatchShards), where idle peers pull them and straggler
+// shards are re-dispatched first-completion-wins. Scheduling only
+// decides where and when a shard runs — the returned results are in
+// task order and the engine's seed-order merge is untouched.
+type shardRunner struct {
+	s   *Service
+	j   *job
+	ctx context.Context
+}
 
-func (s staticRunner) RunShard(task *symexec.ShardTask, local func() (*symexec.ShardResult, error)) (*symexec.ShardResult, error) {
-	return s.r.RunShard(task, local)
+func (r *shardRunner) RunShards(tasks []*symexec.ShardTask, local func(*symexec.ShardTask) (*symexec.ShardResult, error)) ([]*symexec.ShardResult, error) {
+	shards := make([]queuedShard, len(tasks))
+	for i, task := range tasks {
+		shards[i] = queuedShard{
+			key:    shardKey(task),
+			env:    shardEnvelope{Task: task},
+			accept: acceptShardResult,
+			local: func() ([]byte, error) {
+				res, err := local(task)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(res)
+			},
+		}
+	}
+	bodies, err := r.s.dispatchShards(r.ctx, r.j, shards)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*symexec.ShardResult, len(bodies))
+	for i, body := range bodies {
+		var res symexec.ShardResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			return nil, fmt.Errorf("jobsvc: shard %s: decode result: %w", shards[i].key, err)
+		}
+		results[i] = &res
+	}
+	return results, nil
 }
 
 // acceptShardResult validates a peer's response body before the
@@ -254,12 +218,7 @@ func (s *Service) executeSpec(j *job, deadline time.Time) (res *JobResult, err e
 			case <-ctx.Done():
 			}
 		}()
-		sr := &shardRunner{s: s, j: j, ctx: ctx}
-		if s.cfg.StaticDispatch {
-			runner = staticRunner{sr}
-		} else {
-			runner = sr
-		}
+		runner = &shardRunner{s: s, j: j, ctx: ctx}
 	}
 	return runSpecHook(j.Spec, j.stop, deadline, runner)
 }
@@ -342,7 +301,7 @@ func (s *Service) handleShard(w http.ResponseWriter, r *http.Request) {
 
 // executeShard runs one remote shard task on this node, in a fresh
 // arena, bounded by the request context (a dispatcher that gave up —
-// timeout, hedge won elsewhere, coordinator died — cancels it) and
+// timeout, steal won elsewhere, coordinator died — cancels it) and
 // the envelope's remaining deadline.
 func (s *Service) executeShard(ctx context.Context, env shardEnvelope) (res *symexec.ShardResult, err error) {
 	defer func() {

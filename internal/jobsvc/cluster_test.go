@@ -61,7 +61,6 @@ func coordinatorConfig(peers []string, ft *cluster.FaultTransport) Config {
 			MaxAttempts:    3,
 			BackoffBase:    time.Millisecond,
 			BackoffCap:     10 * time.Millisecond,
-			HedgeDelay:     300 * time.Millisecond,
 			Seed:           7,
 			Breaker:        cluster.BreakerConfig{Window: 8, MinSamples: 4, FailureThreshold: 0.5, OpenFor: 50 * time.Millisecond},
 		},
@@ -89,8 +88,8 @@ func TestCoordinatorBitIdenticalUnderFaults(t *testing.T) {
 
 	ft := forwardingFaults()
 	// peer1: first request's connection drops, the second one kills
-	// the peer for the rest of the job. peer2: one straggling request
-	// (slow enough to trigger a hedge), healthy afterwards.
+	// the peer for the rest of the job. peer2: one straggling request,
+	// healthy afterwards.
 	ft.Script(ts1.URL, cluster.Fault{Drop: true}, cluster.Fault{Die: true})
 	ft.Script(ts2.URL, cluster.Fault{Latency: 400 * time.Millisecond})
 
@@ -137,9 +136,7 @@ func TestCoordinatorAllPeersDownFallsBack(t *testing.T) {
 	ft := forwardingFaults()
 	ft.Kill("http://127.0.0.1:1")
 	ft.Kill("http://127.0.0.1:2")
-	cfg := coordinatorConfig([]string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, ft)
-	cfg.Cluster.HedgeDelay = 0
-	coord := New(cfg)
+	coord := New(coordinatorConfig([]string{"http://127.0.0.1:1", "http://127.0.0.1:2"}, ft))
 	defer drainWithin(t, coord, 60*time.Second)
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
@@ -208,11 +205,37 @@ func copyBody(sb *strings.Builder, resp *http.Response) (int64, error) {
 
 // TestCoordinatorJournalShardReplay: a coordinator crash mid-job must
 // not discard the shards already collected. The journal's shard_done
-// records are pre-seeded on replay, the re-run re-dispatches only the
-// stripped shard, and the final result is identical.
+// records are pre-seeded on replay, the re-run re-executes only the
+// missing shard, and the final result is identical — for exploration
+// and fuzz shard groups alike. The journal is a trust boundary: a
+// shard_done record that is valid JSON but fails the shard's accept
+// check is re-executed like a missing one, never merged.
 func TestCoordinatorJournalShardReplay(t *testing.T) {
+	fuzzSpec := JobSpec{
+		Seed:    21,
+		Workers: 2,
+		Fuzz:    &FuzzSpec{Device: "SBLK100", Budget: 48, MaxSteps: 8},
+	}
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		// corrupt, when set, replaces one shard_done result instead of
+		// dropping the record.
+		corrupt string
+	}{
+		{name: "explore", spec: clusterSpec()},
+		{name: "fuzz", spec: fuzzSpec},
+		{name: "explore-untrusted", spec: clusterSpec(), corrupt: `{}`},
+		{name: "fuzz-untrusted", spec: fuzzSpec, corrupt: `[]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testJournalShardReplay(t, tc.spec, tc.corrupt)
+		})
+	}
+}
+
+func testJournalShardReplay(t *testing.T, spec JobSpec, corrupt string) {
 	dir := t.TempDir()
-	spec := clusterSpec()
 	cfg := Config{Pool: 1, Coordinator: true, DataDir: dir}
 	svc1, err := Open(cfg)
 	if err != nil {
@@ -234,24 +257,37 @@ func TestCoordinatorJournalShardReplay(t *testing.T) {
 	svc1.crash()
 
 	// Rewrite the journal to what a crash just before completion
-	// would have left: drop the finished record, and drop one
-	// shard_done record so the resumed run must re-execute that shard.
+	// would have left: drop the finished record, and drop (or
+	// corrupt) one shard_done record so the resumed run must
+	// re-execute that shard.
 	path := filepath.Join(dir, journalFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var kept []string
-	shardDone, dropped := 0, false
+	shardDone, tampered := 0, false
 	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
 		switch {
 		case strings.Contains(line, `"t":"finished"`):
 			continue
 		case strings.Contains(line, `"t":"shard_done"`):
 			shardDone++
-			if !dropped {
-				dropped = true
-				continue
+			if !tampered {
+				tampered = true
+				if corrupt == "" {
+					continue
+				}
+				var rec journalRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatal(err)
+				}
+				rec.Result = json.RawMessage(corrupt)
+				b, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				line = string(b)
 			}
 		}
 		kept = append(kept, line)
@@ -280,7 +316,7 @@ func TestCoordinatorJournalShardReplay(t *testing.T) {
 	}
 	sameResult(t, done2.Result, done1.Result, "journal resume")
 	if got := svc2.m.shardsReplayed.Load(); got != int64(shardDone-1) {
-		t.Errorf("shardsReplayed = %d, want %d (all collected shards reused)", got, shardDone-1)
+		t.Errorf("shardsReplayed = %d, want %d (every trusted shard reused, the tampered one re-run)", got, shardDone-1)
 	}
 }
 

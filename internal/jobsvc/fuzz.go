@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"revnic/internal/cluster"
 	"revnic/internal/difffuzz"
 	"revnic/internal/drivers"
 	"revnic/internal/template"
@@ -179,11 +178,10 @@ type fuzzShard struct {
 const fuzzShardGroup = 4
 
 // fuzzShardRunner adapts the cluster dispatcher to difffuzz's
-// RunBatch seam, mirroring shardRunner.RunShardQueue: schedule groups
-// enter the capacity-aware work queue, journal-replayed groups are
-// pre-filled, settled groups are journaled for crash replay, and the
-// merged outcome order is the batch order — so a clustered fuzz job
-// reports bit-identically to a single-node run of the same spec.
+// RunBatch seam, as shardRunner does for exploration: schedule groups
+// go through dispatchShards, and the merged outcome order is the batch
+// order — so a clustered fuzz job reports bit-identically to a
+// single-node run of the same spec.
 type fuzzShardRunner struct {
 	s       *Service
 	j       *job
@@ -201,72 +199,29 @@ func fuzzShardKey(round, group int) string {
 }
 
 func (r *fuzzShardRunner) runBatch(round int, batch []difffuzz.Schedule) ([]difffuzz.Outcome, error) {
-	outs := make([]difffuzz.Outcome, len(batch))
-	var deadlineMS int64
-	if dl, ok := r.ctx.Deadline(); ok {
-		deadlineMS = time.Until(dl).Milliseconds()
-		if deadlineMS < 1 {
-			deadlineMS = 1
-		}
-	}
-	var items []cluster.QueueItem
-	var spans [][2]int // queue position → [start, end) in batch
+	var shards []queuedShard
 	for start := 0; start < len(batch); start += fuzzShardGroup {
-		end := min(start+fuzzShardGroup, len(batch))
-		key := fuzzShardKey(round, start/fuzzShardGroup)
-		if raw, ok := r.j.shardCache[key]; ok {
-			var cached []difffuzz.Outcome
-			if err := json.Unmarshal(raw, &cached); err == nil && len(cached) == end-start {
-				r.s.m.shardsReplayed.Add(1)
-				copy(outs[start:end], cached)
-				continue
-			}
-			// An unreadable cached result is re-executed, never trusted.
-		}
-		group := batch[start:end]
-		payload, err := json.Marshal(shardEnvelope{
-			Spec: r.j.Spec, Fuzz: &fuzzShard{Round: round, Schedules: group}, DeadlineMS: deadlineMS,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.s.journalAppend(journalRecord{
-			T: recShardDispatched, ID: r.j.ID, TS: time.Now(), Key: key,
-		}, false)
-		items = append(items, cluster.QueueItem{
-			Key:     r.j.ID + "/" + key,
-			Payload: payload,
-			Accept:  acceptFuzzOutcomes(len(group)),
-			Local: func() ([]byte, error) {
+		group := batch[start:min(start+fuzzShardGroup, len(batch))]
+		shards = append(shards, queuedShard{
+			key:    fuzzShardKey(round, start/fuzzShardGroup),
+			env:    shardEnvelope{Fuzz: &fuzzShard{Round: round, Schedules: group}},
+			accept: acceptFuzzOutcomes(len(group)),
+			local: func() ([]byte, error) {
 				return json.Marshal(difffuzz.RunBatch(r.harness, group, r.workers))
 			},
-			OnDone: func(body []byte) {
-				var res []difffuzz.Outcome
-				if err := json.Unmarshal(body, &res); err != nil {
-					return
-				}
-				if compact, err := json.Marshal(res); err == nil {
-					r.s.journalAppend(journalRecord{
-						T: recShardDone, ID: r.j.ID, TS: time.Now(), Key: key, Result: compact,
-					}, false)
-				}
-			},
 		})
-		spans = append(spans, [2]int{start, end})
 	}
-	if len(items) == 0 {
-		return outs, nil
-	}
-	bodies, err := r.s.dispatcher.RunQueue(r.ctx, items)
+	bodies, err := r.s.dispatchShards(r.ctx, r.j, shards)
 	if err != nil {
 		return nil, err
 	}
-	for qi, body := range bodies {
+	outs := make([]difffuzz.Outcome, 0, len(batch))
+	for i, body := range bodies {
 		var res []difffuzz.Outcome
 		if err := json.Unmarshal(body, &res); err != nil {
-			return nil, fmt.Errorf("jobsvc: fuzz shard %s: decode outcomes: %w", items[qi].Key, err)
+			return nil, fmt.Errorf("jobsvc: fuzz shard %s: decode outcomes: %w", shards[i].key, err)
 		}
-		copy(outs[spans[qi][0]:spans[qi][1]], res)
+		outs = append(outs, res...)
 	}
 	return outs, nil
 }

@@ -315,8 +315,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(p cluster.PeerSnapshot) int64 { return p.Attempts })
 		peerCounter("revnicd_cluster_retries_total", "Shard retry attempts, per peer.",
 			func(p cluster.PeerSnapshot) int64 { return p.Retries })
-		peerCounter("revnicd_cluster_hedges_total", "Hedged shard requests, per peer.",
-			func(p cluster.PeerSnapshot) int64 { return p.Hedges })
 		peerCounter("revnicd_cluster_failures_total", "Failed shard attempts, per peer.",
 			func(p cluster.PeerSnapshot) int64 { return p.Failures })
 		peerCounter("revnicd_cluster_overloads_total", "Shard attempts answered 503 (peer full), per peer.",

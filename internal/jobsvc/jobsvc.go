@@ -258,16 +258,11 @@ type Config struct {
 	// With no peers configured, every shard runs the local fallback:
 	// correct, just not distributed.
 	Coordinator bool
-	// Cluster tunes the shard dispatcher (peers, transport, timeouts,
-	// retries, hedging, breakers). A nil Cluster.Transport selects
-	// HTTP against the peers' POST /shards endpoints.
+	// Cluster tunes the shard dispatcher's work queue (peers,
+	// transport, timeouts, retries, stealing, breakers). A nil
+	// Cluster.Transport selects HTTP against the peers' POST /shards
+	// endpoints.
 	Cluster cluster.Config
-	// StaticDispatch disables the coordinator work queue: each shard
-	// is dispatched to its hash-selected peer individually, as before
-	// the capacity-aware scheduler. The merged result is identical
-	// either way; this exists for A/B benchmarking (revbench's
-	// straggler scenario) and as an escape hatch.
-	StaticDispatch bool
 	// ShardPool bounds how many remote shards (POST /shards) this
 	// node serves concurrently; excess requests get 503 with
 	// Retry-After, which the coordinator's dispatcher treats as

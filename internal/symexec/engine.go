@@ -121,13 +121,13 @@ type Config struct {
 	ShardFactor int
 	// ShardRunner, when non-nil, executes the fork-join shard groups
 	// through an external dispatcher (the cluster layer's
-	// fault-tolerant remote transport) instead of in-process worker
-	// children. The runner receives each group as a self-contained
-	// ShardTask plus a local-execution fallback closure; because task
-	// execution is deterministic and idempotent, the merged results
-	// are bit-identical to a nil-runner run no matter how the
-	// dispatcher mixes remote execution, retries, hedging and local
-	// fallback.
+	// fault-tolerant work queue) instead of in-process worker
+	// children. The runner receives each phase's groups as
+	// self-contained ShardTasks plus a local-execution fallback;
+	// because task execution is deterministic and idempotent, the
+	// merged results are bit-identical to a nil-runner run no matter
+	// how the dispatcher mixes remote execution, retries, stealing and
+	// local fallback.
 	ShardRunner ShardRunner
 }
 

@@ -163,8 +163,8 @@ func (e *Engine) exploreShards(live []*State, name, successName string, bdg phas
 // exploreShardsVia is the dispatched form of the fan-out: each group
 // becomes a self-contained ShardTask (built serially, so jobSeq and
 // the reserved state-ID ranges advance exactly as the in-process path
-// does), every task is handed to the runner concurrently, and the
-// results are decoded and merged in seed order.
+// does), the phase's tasks are handed to the runner as one batch, and
+// the results are decoded and merged in seed order.
 func (e *Engine) exploreShardsVia(runner ShardRunner, groups [][]*State, name, successName string, per phaseBudgets) ([]*State, error) {
 	n := len(groups)
 	tasks := make([]*ShardTask, n)
@@ -188,54 +188,23 @@ func (e *Engine) exploreShardsVia(runner ShardRunner, groups [][]*State, name, s
 			Group:   encodeStateGroup(groups[i]),
 		}
 	}
-	var results []*ShardResult
-	if qr, ok := runner.(ShardQueueRunner); ok {
-		// Batch dispatch: the runner owns the whole phase's shard set
-		// at once, so it can pull-schedule, weight by peer capacity and
-		// re-dispatch stragglers — none of which changes the results,
-		// which merge below in task order regardless of where or how
-		// often each shard executed.
-		var err error
-		results, err = qr.RunShardQueue(tasks, e.executeShardLocal)
-		if err != nil {
-			return nil, fmt.Errorf("symexec: shard queue (%s): %w", name, err)
-		}
-		if len(results) != n {
-			return nil, fmt.Errorf("symexec: shard queue (%s): %d results for %d tasks", name, len(results), n)
-		}
-	} else {
-		results = make([]*ShardResult, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for i := range tasks {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						errs[i] = fmt.Errorf("symexec: shard %d runner panic: %v", i, r)
-					}
-				}()
-				results[i], errs[i] = runner.RunShard(tasks[i], func() (*ShardResult, error) {
-					return e.executeShardLocal(tasks[i])
-				})
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("symexec: shard %d (%s): %w", i, name, err)
-			}
-		}
+	// The runner owns the whole phase's shard set at once, so it can
+	// pull-schedule and re-dispatch stragglers — none of which changes
+	// the results, which merge below in task order regardless of where
+	// or how often each shard executed.
+	results, err := runner.RunShards(tasks, e.executeShardLocal)
+	if err != nil {
+		return nil, fmt.Errorf("symexec: shard runner (%s): %w", name, err)
 	}
+	if len(results) != n {
+		return nil, fmt.Errorf("symexec: shard runner (%s): %d results for %d tasks", name, len(results), n)
+	}
+	var completed []*State
 	for i, r := range results {
 		if r == nil {
 			return nil, fmt.Errorf("symexec: shard %d (%s): runner returned no result", i, name)
 		}
-	}
-	var completed []*State
-	for i := 0; i < n; i++ {
-		o, states, err := e.decodeShardResult(results[i])
+		o, states, err := e.decodeShardResult(r)
 		if err != nil {
 			return nil, fmt.Errorf("symexec: shard %d (%s): %w", i, name, err)
 		}

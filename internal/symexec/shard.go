@@ -18,7 +18,7 @@ import (
 // in-process path. A task is idempotent — executing it twice, on
 // different machines or once remotely and once as a local fallback,
 // yields byte-for-byte the same result — which is what makes retries
-// and hedged requests safe upstream.
+// and straggler re-dispatch safe upstream.
 
 // ShardBudget is a phase's per-shard exploration allowance, already
 // split by the coordinator (phaseBudgets.split).
@@ -76,31 +76,17 @@ type WireDiscovery struct {
 	Exec int64  `json:"exec"`
 }
 
-// ShardRunner executes shard tasks on behalf of the engine. The
-// cluster dispatcher implements it with remote calls, retries and
-// hedging; local is the guaranteed fallback — it executes the task on
-// the coordinator engine and must be called (and its result returned)
-// whenever remote execution cannot deliver. Implementations may call
-// local and the remote path concurrently: task execution is
-// idempotent, the results are interchangeable.
+// ShardRunner executes a phase's shard tasks on behalf of the engine
+// — revnicd's coordinator implements it with the cluster work queue,
+// which pull-schedules tasks across peers and re-dispatches
+// stragglers. The runner must return one result per task, in task
+// order; local executes a task on the coordinator engine and is safe
+// to call concurrently (each call builds a fresh worker child over the
+// shared cache and arena). Execution is idempotent, so running a task
+// twice — on two peers, or remotely and locally — and keeping
+// whichever finishes first yields the same merged result.
 type ShardRunner interface {
-	RunShard(task *ShardTask, local func() (*ShardResult, error)) (*ShardResult, error)
-}
-
-// ShardQueueRunner is the batch form of ShardRunner: the engine hands
-// over a whole phase's shard tasks at once, so the runner can
-// pull-schedule them across peers, weight dispatch by observed
-// capacity, and re-dispatch stragglers. The runner must return one
-// result per task, in task order; local executes a task on the
-// coordinator engine and is safe to call concurrently (each call
-// builds a fresh worker child over the shared cache and arena).
-// Execution is idempotent, so running a task twice — on two peers, or
-// remotely and locally — and keeping whichever finishes first yields
-// the same merged result. Runners that also implement this interface
-// are preferred over per-task RunShard dispatch.
-type ShardQueueRunner interface {
-	ShardRunner
-	RunShardQueue(tasks []*ShardTask, local func(*ShardTask) (*ShardResult, error)) ([]*ShardResult, error)
+	RunShards(tasks []*ShardTask, local func(*ShardTask) (*ShardResult, error)) ([]*ShardResult, error)
 }
 
 // ExecuteShardTask executes one shard task against a fresh engine —

@@ -21,20 +21,39 @@ import (
 type wireRunner struct {
 	prog       *isa.Program
 	cfg        Config // peer-side config (no arena, no runner)
-	localEvery int    // every Nth shard exercises the local fallback instead
-
-	mu sync.Mutex
-	n  int
+	localEvery int    // every Nth task exercises the local fallback instead
 }
 
-func (r *wireRunner) RunShard(task *ShardTask, local func() (*ShardResult, error)) (*ShardResult, error) {
-	r.mu.Lock()
-	r.n++
-	useLocal := r.localEvery > 0 && r.n%r.localEvery == 0
-	r.mu.Unlock()
-	if useLocal {
-		return local()
+// RunShards executes the batch concurrently, one goroutine per task,
+// so the engine's local closure is exercised from several goroutines
+// at once as a real dispatcher would.
+func (r *wireRunner) RunShards(tasks []*ShardTask, local func(*ShardTask) (*ShardResult, error)) ([]*ShardResult, error) {
+	results := make([]*ShardResult, len(tasks))
+	errs := make([]error, len(tasks))
+	var wg sync.WaitGroup
+	for i, task := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if r.localEvery > 0 && (i+1)%r.localEvery == 0 {
+				results[i], errs[i] = local(task)
+			} else {
+				results[i], errs[i] = r.runRemote(task)
+			}
+		}()
 	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}
+
+// runRemote round-trips one task and its result through JSON around a
+// fresh-arena ExecuteShardTask.
+func (r *wireRunner) runRemote(task *ShardTask) (*ShardResult, error) {
 	b, err := json.Marshal(task)
 	if err != nil {
 		return nil, err
