@@ -12,7 +12,6 @@ import (
 	"revnic/internal/drivers"
 	"revnic/internal/experiments"
 	"revnic/internal/expr"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 )
 
@@ -22,15 +21,14 @@ import (
 // Every cell explores the same deterministic schedule (fixed seed,
 // same searcher), so the grid isolates solver-path cost: the
 // incremental default (assumption-trail sessions + counterexample
-// index) versus the no-incremental ablation versus the portfolio.
+// index) versus the no-incremental ablation.
 // Each run gets a fresh expression arena, so no interning carries
 // over between cells and timings stay comparable.
 
 type gridCell struct {
 	// Solver names the solver configuration: "incremental" (the
-	// default core backend with push/pop sessions), "no-incremental"
-	// (ablation: one-shot solves only), "portfolio" (backend racing
-	// on hard queries).
+	// default, push/pop sessions) or "no-incremental" (ablation:
+	// one-shot solves only).
 	Solver  string `json:"solver"`
 	Workers int    `json:"workers"`
 	// Searcher names the path-selection strategy the cell ran with.
@@ -80,14 +78,12 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		repeats = 1
 	}
 	type mode struct {
-		name    string
-		backend string
-		noInc   bool
+		name  string
+		noInc bool
 	}
 	modes := []mode{
 		{name: "incremental"},
 		{name: "no-incremental", noInc: true},
-		{name: "portfolio", backend: solver.BackendPortfolio},
 	}
 	var names []string
 	for _, d := range drivers.All() {
@@ -115,7 +111,6 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 				Workers:                  cell.Workers,
 				Searcher:                 cellSearcher,
 				Arena:                    expr.NewArena(),
-				SolverBackend:            m.backend,
 				DisableIncrementalSolver: m.noInc,
 				ShardFactor:              cell.ShardFactor,
 			})

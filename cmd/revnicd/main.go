@@ -11,7 +11,6 @@
 //	        [-retain-count 256] [-retain-age 0] [-max-body 8388608]
 //	        [-peers URL,URL,...] [-coordinator] [-shard-pool 2]
 //	        [-probe-interval 5s] [-no-steal] [-steal-after 750ms]
-//	        [-solver core|smalldomain|portfolio] [-portfolio]
 //
 // Jobs run on a bounded pool; each job explores inside its own
 // expression arena, so finished jobs release all their interned
@@ -61,7 +60,6 @@ import (
 
 	"revnic/internal/cluster"
 	"revnic/internal/jobsvc"
-	"revnic/internal/solver"
 )
 
 func main() {
@@ -82,18 +80,8 @@ func main() {
 		noSteal       = flag.Bool("no-steal", false, "disable work-stealing re-dispatch of straggler shards (results are identical)")
 		stealAfter    = flag.Duration("steal-after", 0, "minimum in-flight time before a shard counts as a straggler (0 = default 750ms)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second, "peer health-probe period (0 = no probing)")
-		backend       = flag.String("solver", "", "default solver backend for specs that omit solver_backend: "+strings.Join(solver.BackendNames(), ", ")+" (default core; results are identical)")
-		race          = flag.Bool("portfolio", false, "race solver backends on hard queries by default (shorthand for -solver=portfolio)")
 	)
 	flag.Parse()
-	if *race && *backend == "" {
-		*backend = solver.BackendPortfolio
-	}
-	if !solver.ValidBackend(*backend) {
-		fmt.Fprintf(os.Stderr, "revnicd: unknown solver backend %q (have %s)\n",
-			*backend, strings.Join(solver.BackendNames(), ", "))
-		os.Exit(1)
-	}
 
 	var peerList []string
 	if *peers != "" {
@@ -120,8 +108,7 @@ func main() {
 			DisableStealing: *noSteal,
 			StealAfterMin:   *stealAfter,
 		},
-		ProbeInterval:        *probeInterval,
-		DefaultSolverBackend: *backend,
+		ProbeInterval: *probeInterval,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "revnicd: %v\n", err)

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"revnic/internal/cluster"
-	"revnic/internal/solver"
 )
 
 // This file is the service's HTTP surface: a JSON job API plus a
@@ -282,26 +280,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP revnicd_shards_effective Narrowest fan-out width achieved, summed over completed jobs that fanned out.\n# TYPE revnicd_shards_effective summary\n")
 	fmt.Fprintf(w, "revnicd_shards_effective_sum %g\n", effSum)
 	fmt.Fprintf(w, "revnicd_shards_effective_count %d\n", effN)
-
-	if races := solver.PortfolioSnapshot(); len(races) > 0 {
-		backends := make([]string, 0, len(races))
-		for b := range races {
-			backends = append(backends, b)
-		}
-		sort.Strings(backends)
-		backendCounter := func(name, help string, value func(solver.BackendCounters) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-			for _, b := range backends {
-				fmt.Fprintf(w, "%s{backend=%q} %d\n", name, b, value(races[b]))
-			}
-		}
-		backendCounter("revnicd_solver_backend_wins_total", "Portfolio races this backend answered first.",
-			func(c solver.BackendCounters) int64 { return c.Wins })
-		backendCounter("revnicd_solver_backend_losses_total", "Portfolio races this backend answered definitively but late.",
-			func(c solver.BackendCounters) int64 { return c.Losses })
-		backendCounter("revnicd_solver_backend_cancels_total", "Portfolio races this backend was cancelled in (or sat out).",
-			func(c solver.BackendCounters) int64 { return c.Cancels })
-	}
 
 	if snap, ok := s.ClusterSnapshot(); ok {
 		counter("revnicd_cluster_fallbacks_total", "Shards executed by the guaranteed local fallback.", snap.Fallbacks)

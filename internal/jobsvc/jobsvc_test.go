@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"revnic/internal/core"
 	"revnic/internal/drivers"
 	"revnic/internal/expr"
-	"revnic/internal/solver"
 	"revnic/internal/symexec"
 )
 
@@ -192,7 +190,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Driver: "no-such-chip"},
 		{Driver: "RTL8029", Strategy: "best-first"},
 		{Driver: "RTL8029", Target: "plan9"},
-		{Driver: "RTL8029", SolverBackend: "z3"},
 		{Program: &ProgramSpec{}}, // empty code
 		// Image past the end of guest RAM: must be rejected up front,
 		// not crash a runner mid-pipeline.
@@ -206,46 +203,52 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSolverBackendJobParity pins the service-level guarantee behind
-// the -solver/-portfolio knobs: the same spec run under the core
-// default, with solver_backend=portfolio in the spec, and under a
-// service whose DefaultSolverBackend is portfolio (spec left empty)
-// yields bit-identical JobResults — code, coverage, every solver
-// counter. It also checks the service default is normalized into the
-// stored spec at submission, which is what journal replay and cluster
-// shard dispatch rely on.
+// TestSolverBackendJobParity pins wire compatibility for the retired
+// solver_backend spec field: the service has one solver, and a spec
+// that still names a backend — any backend, known or not — is
+// accepted over HTTP and runs to a result byte-identical to the same
+// spec without the field.
 func TestSolverBackendJobParity(t *testing.T) {
-	run := func(svcCfg Config, spec JobSpec) Job {
-		svc := New(svcCfg)
-		defer svc.Drain(context.Background())
-		j, err := svc.Submit(spec)
+	svc := New(Config{Pool: 1})
+	defer svc.Drain(context.Background())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	result := func(body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		done, err := svc.Wait(ctx, j.ID)
+		var j Job
+		err = json.NewDecoder(resp.Body).Decode(&j)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("submit %s: status %d, %v", body, resp.StatusCode, err)
+		}
+		if done := pollJob(t, ts.URL, j.ID); done.Status != StatusSucceeded {
+			t.Fatalf("job %s: %s (%s)", body, done.Status, done.Error)
+		}
+		resp, err = http.Get(ts.URL + "/jobs/" + j.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if done.Status != StatusSucceeded {
-			t.Fatalf("job failed: %s", done.Error)
+		defer resp.Body.Close()
+		var raw struct {
+			Result json.RawMessage `json:"result"`
 		}
-		return done
+		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		return raw.Result
 	}
-	base := run(Config{Pool: 1}, JobSpec{Driver: "RTL8029", Seed: 3})
-	viaSpec := run(Config{Pool: 1},
-		JobSpec{Driver: "RTL8029", Seed: 3, SolverBackend: solver.BackendPortfolio})
-	viaDefault := run(Config{Pool: 1, DefaultSolverBackend: solver.BackendPortfolio},
-		JobSpec{Driver: "RTL8029", Seed: 3})
-	if viaDefault.Spec.SolverBackend != solver.BackendPortfolio {
-		t.Fatalf("service default not normalized into the spec: %q", viaDefault.Spec.SolverBackend)
-	}
-	if !reflect.DeepEqual(base.Result, viaSpec.Result) {
-		t.Fatalf("portfolio spec result diverged from default:\n got %+v\nwant %+v", viaSpec.Result, base.Result)
-	}
-	if !reflect.DeepEqual(base.Result, viaDefault.Result) {
-		t.Fatalf("service-default portfolio result diverged from default:\n got %+v\nwant %+v", viaDefault.Result, base.Result)
+	want := result(`{"driver":"RTL8029","seed":3}`)
+	for _, backend := range []string{"portfolio", "smalldomain", "z3"} {
+		t.Run(backend, func(t *testing.T) {
+			got := result(`{"driver":"RTL8029","seed":3,"solver_backend":"` + backend + `"}`)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("result diverged from the spec without solver_backend:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

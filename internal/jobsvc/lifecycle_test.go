@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -197,14 +200,26 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc1.crash()
+	// A journal written before the solver_backend spec field was
+	// retired: its queued submission must still replay.
+	const legacyID = "job-3"
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"t":"submitted","id":"` + legacyID + `","ts":"2026-01-01T00:00:00Z",` +
+		`"spec":{"driver":"RTL8029","seed":3,"solver_backend":"portfolio"}}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	svc2, err := Open(Config{Pool: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requeued, interrupted := svc2.ReplayStats()
-	if requeued != 1 || interrupted != 1 {
-		t.Fatalf("replay stats: requeued=%d interrupted=%d, want 1/1", requeued, interrupted)
+	if requeued != 2 || interrupted != 1 {
+		t.Fatalf("replay stats: requeued=%d interrupted=%d, want 2/1", requeued, interrupted)
 	}
 	ja, ok := svc2.Get(a.ID)
 	if !ok || ja.Status != StatusInterrupted {
@@ -228,12 +243,22 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if jb.Result.Code != rev.Synth.Code {
 		t.Error("replayed job's synthesized code differs from a direct run")
 	}
+	jl, err := svc2.Wait(ctx, legacyID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jl.Status != StatusSucceeded {
+		t.Fatalf("replayed legacy job: %s (%s)", jl.Status, jl.Error)
+	}
+	if !reflect.DeepEqual(jl.Result, jb.Result) {
+		t.Errorf("legacy solver_backend job diverged from the same spec without it:\n got %+v\nwant %+v", jl.Result, jb.Result)
+	}
 	// New submissions must not collide with journaled IDs.
 	c, err := svc2.Submit(quickSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID == a.ID || c.ID == b.ID {
+	if c.ID == a.ID || c.ID == b.ID || c.ID == legacyID {
 		t.Fatalf("post-replay submission reused ID %s", c.ID)
 	}
 	drainWithin(t, svc2, 30*time.Second)

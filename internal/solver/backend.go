@@ -1,11 +1,6 @@
 package solver
 
-import (
-	"sort"
-	"sync"
-
-	"revnic/internal/expr"
-)
+import "revnic/internal/expr"
 
 // Verdict is a backend's answer to a satisfiability query. Unlike the
 // two-valued Result of the front-end API, backends are explicitly
@@ -36,8 +31,10 @@ func (v Verdict) String() string {
 // Backend is the minimal decision-procedure contract underneath the
 // solver front end. The front end owns everything query-shaped —
 // fingerprint caches, the counterexample index, constraint slicing,
-// easy/hard routing — so any Backend gets those for free; a backend
-// only decides conjunctions.
+// incremental sessions — so any Backend gets those for free; a
+// backend only decides conjunctions. The solver runs the core
+// (coreBackend) alone; the seam exists so tests can substitute a
+// fake or a reference oracle (smallDomain).
 //
 // The protocol is a scoped assertion stack:
 //
@@ -63,31 +60,6 @@ type Backend interface {
 	SetInterrupt(f func() bool)
 }
 
-// Racer is the optional racing extension: the portfolio backend
-// implements it, and the front end routes hard queries (see Config
-// HardVars/HardNodes) through SolveRaced instead of SolveUnder.
-// Verdicts stay deterministic — SAT/UNSAT is objective, so whichever
-// racer answers first answers the same — but models produced under a
-// race are not, which is why the front end never reads Model after a
-// raced query.
-type Racer interface {
-	SolveRaced(cond *expr.Expr) Verdict
-}
-
-// Backend registry names.
-const (
-	// BackendCore is the native backend: bit-blasting to CNF over the
-	// CDCL SAT core (package sat).
-	BackendCore = "core"
-	// BackendSmallDomain exhaustively enumerates assignments when the
-	// query's total symbolic bit-width is small, and answers VUnknown
-	// otherwise.
-	BackendSmallDomain = "smalldomain"
-	// BackendPortfolio races the core and small-domain backends on
-	// hard queries and routes easy ones to the core.
-	BackendPortfolio = "portfolio"
-)
-
 // BackendOpts parameterizes backend construction.
 type BackendOpts struct {
 	// LearntCap is forwarded to SAT instances (0 keeps the sat
@@ -96,65 +68,6 @@ type BackendOpts struct {
 	// Interrupt is the cooperative abort hook (also installable later
 	// via Backend.SetInterrupt).
 	Interrupt func() bool
-	// MaxDomainBits bounds the small-domain enumerator's total
-	// bit-width; 0 selects DefaultMaxDomainBits.
-	MaxDomainBits int
-	// HardVars/HardNodes are carried so the portfolio can size
-	// sub-backends consistently; the routing decision itself lives in
-	// the front end.
-	HardVars  int
-	HardNodes int
-}
-
-// BackendFactory builds a fresh backend instance.
-type BackendFactory func(BackendOpts) Backend
-
-var backendRegistry = struct {
-	sync.Mutex
-	m map[string]BackendFactory
-}{m: map[string]BackendFactory{}}
-
-// RegisterBackend adds a named backend factory. Registering an
-// existing name replaces it (tests use this to inject probes).
-func RegisterBackend(name string, f BackendFactory) {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	backendRegistry.m[name] = f
-}
-
-func backendFactory(name string) (BackendFactory, bool) {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	f, ok := backendRegistry.m[name]
-	return f, ok
-}
-
-// BackendNames returns the registered backend names, sorted.
-func BackendNames() []string {
-	backendRegistry.Lock()
-	defer backendRegistry.Unlock()
-	names := make([]string, 0, len(backendRegistry.m))
-	for n := range backendRegistry.m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ValidBackend reports whether name selects a registered backend.
-// The empty string is valid and selects the default (core).
-func ValidBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := backendFactory(name)
-	return ok
-}
-
-func init() {
-	RegisterBackend(BackendCore, newCoreBackend)
-	RegisterBackend(BackendSmallDomain, newSmallDomainBackend)
-	RegisterBackend(BackendPortfolio, newPortfolioBackend)
 }
 
 // coreBackend adapts the bit-blaster + CDCL SAT core to the Backend

@@ -70,7 +70,7 @@ func bruteSat(names []string, cons []*expr.Expr) bool {
 // Backend implementation must agree with brute-force ground truth on
 // scoped queries, produce verifiable models, keep push/pop balanced,
 // and honor the interrupt hook.
-func BackendConformanceTest(t *testing.T, factory BackendFactory) {
+func BackendConformanceTest(t *testing.T, factory func(BackendOpts) Backend) {
 	t.Helper()
 	names := []string{"cfa", "cfb", "cfc"}
 	vars := make([]*expr.Expr, len(names))
@@ -113,11 +113,6 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 						if ev.Eval(c) == 0 {
 							t.Fatalf("trial %d cycle %d: model %v violates %v", trial, cycle, m, c)
 						}
-					}
-				}
-				if racer, ok := b.(Racer); ok {
-					if rv := racer.SolveRaced(cond); rv != VUnknown && (rv == VSat) != want {
-						t.Fatalf("trial %d cycle %d: raced verdict %v, brute force %v", trial, cycle, rv, want)
 					}
 				}
 				b.Pop()
@@ -174,111 +169,85 @@ func BackendConformanceTest(t *testing.T, factory BackendFactory) {
 		if v := b.SolveUnder(nil); v != VUnknown {
 			t.Fatalf("verdict %v under always-firing interrupt, want unknown", v)
 		}
-		// Fresh backend for the raced check: the interrupt is
-		// cooperative (polled), so the guarantee is "aborts at the
-		// next poll" — on a fresh backend the very first poll is real
-		// and fires before any search.
-		b2 := factory(BackendOpts{Interrupt: func() bool { return true }})
-		if racer, ok := b2.(Racer); ok {
-			b2.Assert(hard)
-			if v := racer.SolveRaced(expr.Eq(x, y)); v != VUnknown {
-				t.Fatalf("raced verdict %v under always-firing interrupt, want unknown", v)
-			}
-		}
 	})
 }
 
 func TestBackendConformance(t *testing.T) {
-	for _, name := range []string{BackendCore, BackendSmallDomain, BackendPortfolio} {
-		f, ok := backendFactory(name)
-		if !ok {
-			t.Fatalf("backend %q not registered", name)
-		}
-		t.Run(name, func(t *testing.T) { BackendConformanceTest(t, f) })
-	}
+	t.Run("core", func(t *testing.T) { BackendConformanceTest(t, newCoreBackend) })
+	t.Run("smalldomain", func(t *testing.T) { BackendConformanceTest(t, newSmallDomainBackend) })
 }
 
-func TestBackendRegistry(t *testing.T) {
-	names := BackendNames()
-	want := map[string]bool{BackendCore: true, BackendSmallDomain: true, BackendPortfolio: true}
-	for _, n := range names {
-		delete(want, n)
-	}
-	if len(want) != 0 {
-		t.Fatalf("BackendNames() = %v is missing %v", names, want)
-	}
-	if !ValidBackend("") || !ValidBackend(BackendPortfolio) || ValidBackend("z3") {
-		t.Fatal("ValidBackend misclassifies names")
-	}
-}
-
-// TestPortfolioMatchesDefaultSolver pins the determinism guarantee
-// the engine wiring relies on: a portfolio solver and a default
-// (core) solver answer identical query sequences with identical
-// answers AND identical observable cache behavior — verdict-cache
-// hits, model hits, cache size — because hard queries are
-// verdict-only in both modes. This is what keeps JobResults
-// byte-identical with -portfolio on or off.
-func TestPortfolioMatchesDefaultSolver(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
+// TestFrontEndMatchesBruteForce checks the whole front end, not just
+// the SAT core, against ground truth: every MayBeTrue, MustBeTrue and
+// Model answer over a seeded query sequence must agree with
+// brute-force enumeration of the unsliced pc ∧ cond, and every
+// returned model must satisfy the whole path condition. The default
+// run must hit the fingerprint cache, the counterexample index and
+// session reuse, so slicing, caching and subsumption are all on the
+// checked path. The index's share is measured against the same
+// sequence with the index disabled.
+func TestFrontEndMatchesBruteForce(t *testing.T) {
 	names := []string{"pfa", "pfb", "pfc"}
 	vars := make([]*expr.Expr, len(names))
 	for i, n := range names {
 		vars[i] = expr.S(n, 4)
 	}
-	// HardNodes=4 forces a healthy mix of raced and easy queries.
-	def := NewWith(Config{HardNodes: 4})
-	pf := NewWith(Config{Backend: BackendPortfolio, HardNodes: 4})
-	var pc []*expr.Expr
-	for q := 0; q < 150; q++ {
-		if len(pc) > 0 && r.Intn(4) == 0 {
-			pc = pc[:r.Intn(len(pc))]
-		}
-		cond := randCons(r, vars)
-		a := def.MayBeTrue(pc, cond)
-		b := pf.MayBeTrue(pc, cond)
-		if a != b {
-			t.Fatalf("query %d: default=%v portfolio=%v", q, a, b)
-		}
-		if a && r.Intn(2) == 0 {
-			pc = append(pc, cond)
-		}
-		if r.Intn(5) == 0 {
-			ma, oka := def.Model(pc)
-			mb, okb := pf.Model(pc)
-			if oka != okb {
-				t.Fatalf("query %d: Model ok mismatch %v vs %v", q, oka, okb)
+	with := func(pc []*expr.Expr, c *expr.Expr) []*expr.Expr {
+		return append(append([]*expr.Expr{}, pc...), c)
+	}
+	run := func(s *Solver) {
+		t.Helper()
+		r := rand.New(rand.NewSource(23))
+		var pc []*expr.Expr
+		for q := 0; q < 150; q++ {
+			if len(pc) > 0 && r.Intn(4) == 0 {
+				pc = pc[:r.Intn(len(pc))]
 			}
-			_ = ma
-			_ = mb
+			cond := randCons(r, vars)
+			may := s.MayBeTrue(pc, cond)
+			if want := bruteSat(names, with(pc, cond)); may != want {
+				t.Fatalf("query %d: MayBeTrue=%v, brute force %v", q, may, want)
+			}
+			must := s.MustBeTrue(pc, cond)
+			if want := !bruteSat(names, with(pc, expr.Not(cond))); must != want {
+				t.Fatalf("query %d: MustBeTrue=%v, brute force %v", q, must, want)
+			}
+			if may && r.Intn(2) == 0 {
+				pc = append(pc, cond)
+			}
+			if r.Intn(5) == 0 {
+				m, ok := s.Model(pc)
+				if want := bruteSat(names, pc); ok != want {
+					t.Fatalf("query %d: Model ok=%v, brute force %v", q, ok, want)
+				}
+				if ok {
+					for _, c := range pc {
+						if expr.Eval(c, m) == 0 {
+							t.Fatalf("query %d: model %v violates %v", q, m, c)
+						}
+					}
+				}
+			}
 		}
 	}
-	dq, dh := def.Stats()
-	pq, ph := pf.Stats()
-	if dq != pq || dh != ph {
-		t.Fatalf("stats diverge: default q=%d h=%d, portfolio q=%d h=%d", dq, dh, pq, ph)
+	s := New()
+	run(s)
+	noIndex := NewWith(Config{RecentModels: -1})
+	run(noIndex)
+	if _, hits := s.Stats(); hits == 0 {
+		t.Error("run never hit the fingerprint cache")
 	}
-	if def.ModelHits() != pf.ModelHits() {
-		t.Fatalf("model hits diverge: %d vs %d", def.ModelHits(), pf.ModelHits())
+	if s.ModelHits() <= noIndex.ModelHits() {
+		t.Errorf("run never hit the counterexample index (model hits %d, %d without the index)",
+			s.ModelHits(), noIndex.ModelHits())
 	}
-	if def.CacheSize() != pf.CacheSize() {
-		t.Fatalf("cache size diverges: %d vs %d", def.CacheSize(), pf.CacheSize())
+	if ext, _ := s.Sessions(); ext == 0 {
+		t.Error("run never reused the incremental session")
 	}
 }
 
-// unknownBackend always answers VUnknown — a stand-in for a backend
-// that was interrupted (or out of domain) in every race.
-type unknownBackend struct{}
-
-func (unknownBackend) Assert(*expr.Expr)             {}
-func (unknownBackend) Push()                         {}
-func (unknownBackend) Pop()                          {}
-func (unknownBackend) SolveUnder(*expr.Expr) Verdict { return VUnknown }
-func (unknownBackend) Model() map[string]uint32      { return nil }
-func (unknownBackend) SetInterrupt(func() bool)      {}
-
-// flakyBackend answers VUnknown for its first n solves (simulating a
-// backend cancelled mid-race) and delegates afterwards.
+// flakyBackend answers VUnknown for its first n solves (simulating an
+// interrupted search) and delegates afterwards.
 type flakyBackend struct {
 	Backend
 	failures int
@@ -292,99 +261,98 @@ func (f *flakyBackend) SolveUnder(cond *expr.Expr) Verdict {
 	return f.Backend.SolveUnder(cond)
 }
 
-// TestPortfolioAbortedNeverCached pins the never-cache-aborted rule
-// at the portfolio layer: a race in which every backend fails to
-// answer (interrupted losers, no winner) must leave the query and
-// model caches untouched, and the same query must be answerable —
-// correctly — once a backend recovers.
-func TestPortfolioAbortedNeverCached(t *testing.T) {
-	RegisterBackend("test-flaky-portfolio", func(o BackendOpts) Backend {
-		return &portfolio{
-			children: []Backend{
-				&flakyBackend{Backend: newCoreBackend(o), failures: 1},
-				unknownBackend{},
-			},
-			names:     []string{"flaky-core", "always-unknown"},
-			interrupt: o.Interrupt,
+// flakyOnce returns a backend constructor whose first instance fails
+// its first solve; every later instance is the plain core.
+func flakyOnce() func(BackendOpts) Backend {
+	built := 0
+	return func(o BackendOpts) Backend {
+		built++
+		if built == 1 {
+			return &flakyBackend{Backend: newCoreBackend(o), failures: 1}
 		}
-	})
-	// HardNodes=1 makes every query hard, so every solve races.
-	s := NewWith(Config{Backend: "test-flaky-portfolio", HardNodes: 1})
+		return newCoreBackend(o)
+	}
+}
+
+// TestAbortedNeverCached pins the never-cache-aborted rule on both
+// solve paths: a query the backend fails to answer must answer
+// conservatively and leave the verdict and model caches untouched,
+// and the same query must be answered correctly once the backend
+// recovers.
+func TestAbortedNeverCached(t *testing.T) {
 	x := expr.S("pnc", 8)
 	pc := []*expr.Expr{expr.Ult(x, expr.C(100, 8))}
 	cond := expr.Ult(x, expr.C(50, 8))
-	if s.MayBeTrue(pc, cond) {
-		t.Fatal("aborted race must answer conservatively (false)")
+	untouched := func(t *testing.T, s *Solver) {
+		t.Helper()
+		if n := s.CacheSize(); n != 0 {
+			t.Fatalf("aborted query populated the verdict cache (%d entries)", n)
+		}
+		if n := len(s.models); n != 0 {
+			t.Fatalf("aborted query populated the model cache (%d entries)", n)
+		}
+		if s.ModelHits() != 0 {
+			t.Fatal("aborted query produced a model hit")
+		}
 	}
-	if n := s.CacheSize(); n != 0 {
-		t.Fatalf("aborted race populated the verdict cache (%d entries)", n)
+	recovered := func(t *testing.T, s *Solver) {
+		t.Helper()
+		if _, hits := s.Stats(); hits != 0 {
+			t.Fatal("post-recovery answer came from the cache, not a solve")
+		}
+		if n := s.CacheSize(); n != 1 {
+			t.Fatalf("decided query not cached (%d entries)", n)
+		}
 	}
-	if s.ModelHits() != 0 {
-		t.Fatal("aborted race produced a model hit")
-	}
-	// The backend recovered: the very same query must now be decided
-	// correctly — the aborted false was not cached.
-	if !s.MayBeTrue(pc, cond) {
-		t.Fatal("query answered false after recovery: aborted verdict was cached")
-	}
-	_, hits := s.Stats()
-	if hits != 0 {
-		t.Fatal("post-recovery answer came from the cache, not a solve")
-	}
-	if n := s.CacheSize(); n != 1 {
-		t.Fatalf("decided query not cached (%d entries)", n)
-	}
+
+	t.Run("session", func(t *testing.T) {
+		s := New()
+		s.newBackend = flakyOnce()
+		if s.MayBeTrue(pc, cond) {
+			t.Fatal("aborted query must answer conservatively (false)")
+		}
+		untouched(t, s)
+		if !s.MayBeTrue(pc, cond) {
+			t.Fatal("query answered false after recovery: aborted verdict was cached")
+		}
+		recovered(t, s)
+	})
+
+	t.Run("one-shot", func(t *testing.T) {
+		s := New()
+		s.newBackend = flakyOnce()
+		cons := append(append([]*expr.Expr{}, pc...), cond)
+		if _, ok := s.Model(cons); ok {
+			t.Fatal("aborted query must answer conservatively (no model)")
+		}
+		untouched(t, s)
+		m, ok := s.Model(cons)
+		if !ok {
+			t.Fatal("no model after recovery: aborted verdict was cached")
+		}
+		for _, c := range cons {
+			if expr.Eval(c, m) == 0 {
+				t.Fatalf("model %v violates %v", m, c)
+			}
+		}
+		recovered(t, s)
+	})
 }
 
-// TestPortfolioInterruptAborts exercises the real race-abort path: a
-// genuinely hard factoring query under an always-firing global
-// interrupt must answer VUnknown (conservative false) and cache
-// nothing.
-func TestPortfolioInterruptAborts(t *testing.T) {
+// TestInterruptAborts exercises the real abort path: a genuinely hard
+// factoring query under an always-firing interrupt must answer
+// VUnknown (conservative false) and cache nothing.
+func TestInterruptAborts(t *testing.T) {
 	var abort atomic.Bool
 	abort.Store(true)
-	s := NewWith(Config{
-		Backend:   BackendPortfolio,
-		HardNodes: 3,
-		Interrupt: func() bool { return abort.Load() },
-	})
+	s := NewWith(Config{Interrupt: func() bool { return abort.Load() }})
 	x, y := expr.S("pix", 32), expr.S("piy", 32)
 	cond := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
 	if s.MayBeTrue(nil, cond) {
-		t.Fatal("interrupted race answered true")
+		t.Fatal("interrupted query answered true")
 	}
 	if n := s.CacheSize(); n != 0 {
-		t.Fatalf("interrupted race populated the cache (%d entries)", n)
-	}
-}
-
-// TestPortfolioRaceCounters checks the ops counters: a race with a
-// definitive winner must record one win, and the loser a loss or
-// cancel.
-func TestPortfolioRaceCounters(t *testing.T) {
-	ResetPortfolioCounters()
-	f, _ := backendFactory(BackendPortfolio)
-	b := f(BackendOpts{})
-	x := expr.S("rcx", 4)
-	b.Assert(expr.Ult(x, expr.C(9, 4)))
-	racer := b.(Racer)
-	if v := racer.SolveRaced(expr.Eq(x, expr.C(3, 4))); v != VSat {
-		t.Fatalf("race verdict %v, want sat", v)
-	}
-	snap := PortfolioSnapshot()
-	wins := int64(0)
-	for _, c := range snap {
-		wins += c.Wins
-	}
-	if wins != 1 {
-		t.Fatalf("race recorded %d wins, want 1 (snapshot %v)", wins, snap)
-	}
-	other := int64(0)
-	for _, c := range snap {
-		other += c.Losses + c.Cancels
-	}
-	if other != 1 {
-		t.Fatalf("race recorded %d losses+cancels, want 1 (snapshot %v)", other, snap)
+		t.Fatalf("interrupted query populated the cache (%d entries)", n)
 	}
 }
 

@@ -6,38 +6,33 @@ import (
 	"revnic/internal/expr"
 )
 
-// DefaultMaxDomainBits bounds the small-domain enumerator: a query
-// whose distinct symbolic variables total at most this many bits is
-// decided by exhaustive enumeration (≤ 2^16 evaluations), anything
-// wider answers VUnknown.
-const DefaultMaxDomainBits = 16
+// smallDomainBits bounds the small-domain enumerator: a query whose
+// distinct symbolic variables total at most this many bits is decided
+// by exhaustive enumeration (≤ 2^16 evaluations), anything wider
+// answers VUnknown.
+const smallDomainBits = 16
 
-// smallDomain is the second in-tree backend, proving the Backend seam
-// is real: an exhaustive evaluator for narrow sliced queries. It
-// keeps no solver state at all — just the asserted constraint stack —
-// so Assert/Push/Pop are O(1), and it decides a query by enumerating
+// smallDomain is the reference oracle behind the Backend seam: an
+// exhaustive evaluator for narrow sliced queries. It keeps no solver
+// state at all — just the asserted constraint stack — so
+// Assert/Push/Pop are O(1), and it decides a query by enumerating
 // every assignment of the query's variables in a fixed order
 // (variables sorted by name, values counting up from zero), which
 // makes its verdicts and models fully deterministic.
 //
-// On its own it is mostly a conformance vehicle; its practical role
-// is inside the portfolio, where it wins races on queries with few
-// variable bits but large expression DAGs — exactly where
-// bit-blasting pays its worst fixed costs.
+// No production path constructs it. Tests hold the core to it:
+// BackendConformanceTest runs both against brute force, and
+// small-domain UNSAT verdicts are the ground truth verdict checks
+// compare the core against.
 type smallDomain struct {
 	stack     []*expr.Expr
 	marks     []int
 	interrupt func() bool
-	maxBits   int
 	model     map[string]uint32
 }
 
 func newSmallDomainBackend(o BackendOpts) Backend {
-	max := o.MaxDomainBits
-	if max <= 0 {
-		max = DefaultMaxDomainBits
-	}
-	return &smallDomain{interrupt: o.Interrupt, maxBits: max}
+	return &smallDomain{interrupt: o.Interrupt}
 }
 
 func (d *smallDomain) Assert(c *expr.Expr) { d.stack = append(d.stack, c) }
@@ -74,7 +69,7 @@ func (d *smallDomain) SolveUnder(cond *expr.Expr) Verdict {
 	for _, w := range widths {
 		total += int(w)
 	}
-	if total > d.maxBits {
+	if total > smallDomainBits {
 		return VUnknown
 	}
 	names := make([]string, 0, len(widths))
