@@ -5,12 +5,14 @@
 //
 // Cells match on (solver, searcher, workers, shard_factor, scenario) —
 // an absent searcher means "coverage", so baselines written before the
-// searcher axis existed still match fresh coverage cells; cells
-// present in only one report are skipped with a note, so a reduced CI
-// grid (fewer repeats, no cluster scenario) gates only what it
-// actually measured. Timing noise is expected — the default 25%
-// threshold is meant to catch structural regressions (a scheduler
-// serializing, a solver losing its cache), not jitter.
+// searcher axis existed still match fresh coverage cells. Cells present
+// in only one report are skipped with a note naming the side that lacks
+// them, so a reduced CI grid (fewer repeats, no cluster scenario) gates
+// only what it actually measured, and cells a retired mode left in the
+// baseline are listed rather than dropped silently. Timing noise is
+// expected — the default 25% threshold is meant to catch structural
+// regressions (a scheduler serializing, a solver losing its cache), not
+// jitter.
 //
 // Usage:
 //
@@ -20,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -86,33 +90,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(2)
 	}
-	baseline := make(map[string]cell, len(baseRep.Cells))
-	for _, c := range baseRep.Cells {
-		baseline[key(c)] = c
-	}
-	matched, regressions := 0, 0
-	for _, f := range freshRep.Cells {
-		b, ok := baseline[key(f)]
-		if !ok {
-			fmt.Printf("perfgate: skip %-40s (not in baseline)\n", key(f))
-			continue
-		}
-		if b.MeanMS <= 0 || f.MeanMS <= 0 {
-			fmt.Printf("perfgate: skip %-40s (degenerate mean)\n", key(f))
-			continue
-		}
-		matched++
-		ratio := f.MeanMS/b.MeanMS - 1
-		status := "ok"
-		if ratio > *threshold {
-			status = "REGRESSION"
-			regressions++
-		}
-		fmt.Printf("perfgate: %-40s base %8.0f ms  fresh %8.0f ms  %+6.1f%%  %s\n",
-			key(f), b.MeanMS, f.MeanMS, 100*ratio, status)
-	}
-	if matched == 0 {
-		fmt.Fprintln(os.Stderr, "perfgate: no cells matched between reports")
+	matched, regressions, err := compare(baseRep, freshRep, *threshold, os.Stdout)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(2)
 	}
 	if regressions > 0 {
@@ -121,4 +101,47 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("perfgate: %d cells within %.0f%% of baseline\n", matched, 100**threshold)
+}
+
+// compare gates fresh against base, writing one line per cell to w: a
+// verdict for every matched cell, and a skip note for every cell only
+// one report holds. It returns how many cells matched and how many of
+// those regressed by more than threshold; no matched cell at all is an
+// error, since the gate would then check nothing.
+func compare(base, fresh report, threshold float64, w io.Writer) (matched, regressions int, err error) {
+	baseline := make(map[string]cell, len(base.Cells))
+	for _, c := range base.Cells {
+		baseline[key(c)] = c
+	}
+	inFresh := make(map[string]bool, len(fresh.Cells))
+	for _, f := range fresh.Cells {
+		inFresh[key(f)] = true
+		b, ok := baseline[key(f)]
+		if !ok {
+			fmt.Fprintf(w, "perfgate: skip %-40s (not in baseline)\n", key(f))
+			continue
+		}
+		if b.MeanMS <= 0 || f.MeanMS <= 0 {
+			fmt.Fprintf(w, "perfgate: skip %-40s (degenerate mean)\n", key(f))
+			continue
+		}
+		matched++
+		ratio := f.MeanMS/b.MeanMS - 1
+		status := "ok"
+		if ratio > threshold {
+			status = "REGRESSION"
+			regressions++
+		}
+		fmt.Fprintf(w, "perfgate: %-40s base %8.0f ms  fresh %8.0f ms  %+6.1f%%  %s\n",
+			key(f), b.MeanMS, f.MeanMS, 100*ratio, status)
+	}
+	for _, b := range base.Cells {
+		if !inFresh[key(b)] {
+			fmt.Fprintf(w, "perfgate: skip %-40s (not in fresh)\n", key(b))
+		}
+	}
+	if matched == 0 {
+		return 0, 0, errors.New("no cells matched between reports")
+	}
+	return matched, regressions, nil
 }

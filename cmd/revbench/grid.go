@@ -15,20 +15,19 @@ import (
 	"revnic/internal/symexec"
 )
 
-// The ablation grid (-grid): reverse engineer the full four-driver
-// workload under each solver configuration × worker count, repeated
-// -repeats times, and write mean/std wall-clock per cell as JSON.
-// Every cell explores the same deterministic schedule (fixed seed,
-// same searcher), so the grid isolates solver-path cost: the
-// incremental default (assumption-trail sessions + counterexample
-// index) versus the no-incremental ablation.
-// Each run gets a fresh expression arena, so no interning carries
-// over between cells and timings stay comparable.
+// The timing grid (-grid): reverse engineer the full four-driver
+// workload along three axes — worker count, shard factor and
+// searcher — repeated -repeats times, and write mean/std wall-clock
+// per cell as JSON. Each cell's schedule is deterministic (fixed
+// seed), so its counters are identical across repeats and worker
+// counts. Each run gets a fresh expression arena, so no interning
+// carries over between cells and timings stay comparable.
 
 type gridCell struct {
-	// Solver names the solver configuration: "incremental" (the
-	// default, push/pop sessions) or "no-incremental" (ablation:
-	// one-shot solves only).
+	// Solver is always "incremental": the solver has one path
+	// (push/pop sessions). The field stays because perfgate's cell key
+	// includes it; older baselines also hold cells of a retired
+	// one-shot ablation under another name, which no longer match.
 	Solver  string `json:"solver"`
 	Workers int    `json:"workers"`
 	// Searcher names the path-selection strategy the cell ran with.
@@ -53,7 +52,7 @@ type gridCell struct {
 	StdMS  float64   `json:"std_ms"`
 	RunsMS []float64 `json:"runs_ms"`
 	// Solver counters summed over the four drivers (identical across
-	// repeats and across solver configurations — determinism check).
+	// repeats and worker counts — determinism check).
 	SolverQueries int64 `json:"solver_queries"`
 	CacheHits     int64 `json:"cache_hits"`
 	ModelHits     int64 `json:"model_hits"`
@@ -77,14 +76,6 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 	if repeats < 1 {
 		repeats = 1
 	}
-	type mode struct {
-		name  string
-		noInc bool
-	}
-	modes := []mode{
-		{name: "incremental"},
-		{name: "no-incremental", noInc: true},
-	}
 	var names []string
 	for _, d := range drivers.All() {
 		names = append(names, d.Name)
@@ -96,7 +87,8 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		Repeats:  repeats,
 		Drivers:  names,
 	}
-	runCell := func(cell gridCell, m mode) (gridCell, error) {
+	runCell := func(cell gridCell) (gridCell, error) {
+		cell.Solver = "incremental"
 		cellSearcher := searcher
 		if cell.Searcher != "" {
 			var err error
@@ -108,15 +100,14 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		for rep := 0; rep < repeats; rep++ {
 			start := time.Now()
 			ctx, err := experiments.NewContextCfg(experiments.ContextConfig{
-				Workers:                  cell.Workers,
-				Searcher:                 cellSearcher,
-				Arena:                    expr.NewArena(),
-				DisableIncrementalSolver: m.noInc,
-				ShardFactor:              cell.ShardFactor,
+				Workers:     cell.Workers,
+				Searcher:    cellSearcher,
+				Arena:       expr.NewArena(),
+				ShardFactor: cell.ShardFactor,
 			})
 			elapsed := time.Since(start)
 			if err != nil {
-				return cell, fmt.Errorf("grid cell %s/w%d/f%d: %w", m.name, cell.Workers, cell.ShardFactor, err)
+				return cell, fmt.Errorf("grid cell w%d/f%d: %w", cell.Workers, cell.ShardFactor, err)
 			}
 			cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
 			if rep == repeats-1 {
@@ -141,36 +132,33 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		return cell, nil
 	}
 	for _, workers := range []int{1, 4} {
-		for _, m := range modes {
-			cell, err := runCell(gridCell{Solver: m.name, Workers: workers}, m)
-			if err != nil {
-				return err
-			}
-			report.Cells = append(report.Cells, cell)
-		}
-	}
-	// The scheduling-granularity axis: the default solver at full
-	// parallelism, across explicit shard factors. Factor 1 is the
-	// coarse pre-factor schedule; each factor is its own deterministic
-	// schedule, so counters differ across factors but not across
-	// repeats.
-	for _, sf := range []int{1, 2, 4} {
-		cell, err := runCell(gridCell{Solver: "incremental", Workers: 4, ShardFactor: sf}, modes[0])
+		cell, err := runCell(gridCell{Workers: workers})
 		if err != nil {
 			return err
 		}
 		report.Cells = append(report.Cells, cell)
 	}
-	// The searcher axis: the default solver at full parallelism under
-	// each non-default path-selection strategy. The plain cells above
-	// already cover the -strategy searcher (coverage by default), so
-	// this adds the DFS and BFS ablations the paper's exploration
-	// section compares against.
+	// The scheduling-granularity axis: full parallelism across
+	// explicit shard factors. Factor 1 is the coarse pre-factor
+	// schedule; each factor is its own deterministic schedule, so
+	// counters differ across factors but not across repeats.
+	for _, sf := range []int{1, 2, 4} {
+		cell, err := runCell(gridCell{Workers: 4, ShardFactor: sf})
+		if err != nil {
+			return err
+		}
+		report.Cells = append(report.Cells, cell)
+	}
+	// The searcher axis: full parallelism under each non-default
+	// path-selection strategy. The plain cells above already cover the
+	// -strategy searcher (coverage by default), so this adds the DFS
+	// and BFS ablations the paper's exploration section compares
+	// against.
 	for _, name := range []string{"dfs", "bfs"} {
 		if name == strategy {
 			continue
 		}
-		cell, err := runCell(gridCell{Solver: "incremental", Workers: 4, Searcher: name}, modes[0])
+		cell, err := runCell(gridCell{Workers: 4, Searcher: name})
 		if err != nil {
 			return err
 		}

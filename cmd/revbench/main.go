@@ -6,7 +6,7 @@
 //	revbench -exp all            # everything
 //	revbench -exp fig2           # one experiment
 //	revbench -list               # enumerate experiment IDs
-//	revbench -grid               # solver-ablation timing grid -> BENCH_8.json
+//	revbench -grid               # worker/shard-factor/searcher timing grid -> BENCH_9.json
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids")
 		strategy = flag.String("strategy", "coverage", "path selection strategy for the exploration runs: "+strings.Join(symexec.SearcherNames(), ", "))
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the reverse-engineering context (results are identical for any value)")
-		grid     = flag.Bool("grid", false, "run the solver/scheduling timing grid (workers x solver modes x shard factors) instead of the experiments")
+		grid     = flag.Bool("grid", false, "run the timing grid (worker counts, shard factors and searchers) instead of the experiments")
 		repeats  = flag.Int("repeats", 3, "repetitions per grid cell (with -grid)")
 		gridOut  = flag.String("grid-out", "BENCH_9.json", "grid report output path (with -grid; '-' for stdout)")
 		gridCSV  = flag.String("csv", "", "also export every individual grid run as CSV to this path (with -grid)")

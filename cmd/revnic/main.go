@@ -35,7 +35,6 @@ func main() {
 		report     = flag.Bool("report", false, "print coverage and classification report")
 		seed       = flag.Int64("seed", 1, "exploration random seed")
 		strategy   = flag.String("strategy", "coverage", "path selection strategy: "+strings.Join(symexec.SearcherNames(), ", "))
-		noInc      = flag.Bool("no-incremental", false, "disable the solver's incremental SAT sessions (ablation; results are identical)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines exploring phase shards concurrently (results are identical for any value)")
 		shardFac   = flag.Int("shard-factor", 0, "shard-group granularity multiplier: 0 auto-sizes, 1 reproduces the coarse schedule (part of the deterministic schedule, like -seed)")
 		style      = flag.String("style", "", "code-emission style: "+strings.Join(synth.StyleNames(), ", ")+" (default goto; only the emitted-code shape changes)")
@@ -61,8 +60,7 @@ func main() {
 		DriverName: info.Name,
 		Style:      *style,
 		Engine: symexec.Config{
-			Seed: *seed, Searcher: searcher,
-			DisableIncrementalSolver: *noInc, Workers: *workers,
+			Seed: *seed, Searcher: searcher, Workers: *workers,
 			ShardFactor: *shardFac,
 		},
 	})

@@ -64,9 +64,6 @@ type ContextConfig struct {
 	// selects the process-global default arena. Results are
 	// bit-identical for any arena.
 	Arena *expr.Arena
-	// DisableIncrementalSolver turns off the solvers' shared
-	// incremental SAT sessions (cmd/revbench's ablation grid).
-	DisableIncrementalSolver bool
 	// ShardFactor is each engine's shard-group granularity multiplier
 	// (symexec.Config.ShardFactor); 0 auto-sizes. Part of the
 	// deterministic schedule: results are bit-identical for a fixed
@@ -113,8 +110,7 @@ func NewContextCfg(cc ContextConfig) (*Context, error) {
 				Engine: symexec.Config{
 					Seed: 42, Workers: perEngine,
 					Searcher: cc.Searcher, Arena: cc.Arena,
-					ShardFactor:              cc.ShardFactor,
-					DisableIncrementalSolver: cc.DisableIncrementalSolver,
+					ShardFactor: cc.ShardFactor,
 				},
 			})
 		}(i, d)

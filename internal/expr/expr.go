@@ -86,10 +86,10 @@ type Expr struct {
 // walks. 0 is never returned for constructor-built nodes.
 func (e *Expr) ID() uint64 { return e.id }
 
-// Equal reports structural equality. For interned nodes (everything
-// built through the constructors) this is a pointer comparison; the
-// slow path exists for raw nodes used in this package's own tests and
-// for nodes built while interning is disabled.
+// Equal reports structural equality. For nodes interned in one arena
+// (everything built through one arena's constructors) this is a
+// pointer comparison; the structural slow path serves nodes from
+// different arenas and raw nodes used in this package's own tests.
 func Equal(a, b *Expr) bool {
 	if a == b {
 		return true
@@ -134,7 +134,7 @@ func (ar *Arena) C(v uint32, w uint8) *Expr {
 func S(name string, w uint8) *Expr { return defaultArena.S(name, w) }
 
 // S constructs a symbolic variable. Names are meaningful per arena:
-// the same name always denotes the same unknown, and under interning
+// the same name always denotes the same unknown, and within one arena
 // the same name and width always return the same node.
 func (ar *Arena) S(name string, w uint8) *Expr {
 	return ar.intern(internKey{kind: KSym, width: w, name: name})

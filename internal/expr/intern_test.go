@@ -7,52 +7,52 @@ import (
 	"testing"
 )
 
-// genExpr builds one random expression through the public
-// constructors, drawing from every kind the engine produces.
-func genExpr(r *rand.Rand, depth int, w uint8, vars []string) *Expr {
+// genExpr builds one random expression through ar's constructors,
+// drawing from every kind the engine produces.
+func genExpr(ar *Arena, r *rand.Rand, depth int, w uint8, vars []string) *Expr {
 	if depth == 0 || r.Intn(4) == 0 {
 		if r.Intn(2) == 0 {
-			return C(uint32(r.Int63())&Mask(w), w)
+			return ar.C(uint32(r.Int63())&Mask(w), w)
 		}
-		return S(vars[r.Intn(len(vars))], w)
+		return ar.S(vars[r.Intn(len(vars))], w)
 	}
 	switch r.Intn(14) {
 	case 0:
-		return Add(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Add(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 1:
-		return Sub(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Sub(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 2:
-		return Mul(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Mul(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 3:
-		return And(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.And(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 4:
-		return Or(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Or(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 5:
-		return Xor(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Xor(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 6:
-		return Shl(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Shl(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 7:
-		return Lshr(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Lshr(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 8:
-		return Ashr(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Ashr(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 9:
-		return Not(genExpr(r, depth-1, w, vars))
+		return ar.Not(genExpr(ar, r, depth-1, w, vars))
 	case 10:
-		cond := Eq(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
-		return Ite(cond, genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		cond := ar.Eq(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
+		return ar.Ite(cond, genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	case 11:
 		if w > 8 {
-			return Zext(genExpr(r, depth-1, 8, vars), w)
+			return ar.Zext(genExpr(ar, r, depth-1, 8, vars), w)
 		}
-		return Trunc(genExpr(r, depth-1, 32, vars), w)
+		return ar.Trunc(genExpr(ar, r, depth-1, 32, vars), w)
 	case 12:
 		if w == 16 {
-			return Concat(genExpr(r, depth-1, 8, vars), genExpr(r, depth-1, 8, vars))
+			return ar.Concat(genExpr(ar, r, depth-1, 8, vars), genExpr(ar, r, depth-1, 8, vars))
 		}
-		return Xor(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		return ar.Xor(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	default:
-		c := Ult(genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
-		return Ite(c, genExpr(r, depth-1, w, vars), genExpr(r, depth-1, w, vars))
+		c := ar.Ult(genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
+		return ar.Ite(c, genExpr(ar, r, depth-1, w, vars), genExpr(ar, r, depth-1, w, vars))
 	}
 }
 
@@ -64,8 +64,8 @@ func TestInternCanonical(t *testing.T) {
 	for _, w := range []uint8{8, 16, 32} {
 		for trial := 0; trial < 300; trial++ {
 			seed := int64(w)*1000 + int64(trial)
-			a := genExpr(rand.New(rand.NewSource(seed)), 4, w, vars)
-			b := genExpr(rand.New(rand.NewSource(seed)), 4, w, vars)
+			a := genExpr(Default(), rand.New(rand.NewSource(seed)), 4, w, vars)
+			b := genExpr(Default(), rand.New(rand.NewSource(seed)), 4, w, vars)
 			if a != b {
 				t.Fatalf("width %d trial %d: structurally equal builds not pointer-identical:\n%s\n%s", w, trial, a, b)
 			}
@@ -79,19 +79,18 @@ func TestInternCanonical(t *testing.T) {
 	}
 }
 
-// TestInternPreservesSemantics re-runs the construction with interning
-// disabled (the ablation configuration) and checks that evaluation
-// under random environments is identical to the interned build: the
-// intern table may never change what an expression means.
+// TestInternPreservesSemantics re-runs the construction in a second,
+// fresh arena and checks that evaluation under random environments is
+// identical to the default-arena build and that Equal's cross-arena
+// structural path still finds the two equal: the intern table may
+// never change what an expression means.
 func TestInternPreservesSemantics(t *testing.T) {
 	vars := []string{"p", "q", "r"}
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		seed := int64(trial) + 5000
-		interned := genExpr(rand.New(rand.NewSource(seed)), 4, 32, vars)
-		prev := SetInterning(false)
-		plain := genExpr(rand.New(rand.NewSource(seed)), 4, 32, vars)
-		SetInterning(prev)
+		interned := genExpr(Default(), rand.New(rand.NewSource(seed)), 4, 32, vars)
+		plain := genExpr(NewArena(), rand.New(rand.NewSource(seed)), 4, 32, vars)
 		for i := 0; i < 8; i++ {
 			env := map[string]uint32{}
 			for _, v := range vars {
@@ -102,7 +101,7 @@ func TestInternPreservesSemantics(t *testing.T) {
 			}
 		}
 		if !Equal(interned, plain) {
-			t.Fatalf("trial %d: structural equality lost across interning modes", trial)
+			t.Fatalf("trial %d: structural equality lost across arenas", trial)
 		}
 	}
 }
@@ -181,7 +180,7 @@ func TestIDStability(t *testing.T) {
 	}
 }
 
-// --- interning ablation benchmarks -------------------------------------
+// --- interning benchmarks ----------------------------------------------
 
 // buildWorkload constructs the kind of expression chains symbolic
 // execution of a polling loop produces: repeated arithmetic over a few
@@ -195,30 +194,6 @@ func buildWorkload(n int) *Expr {
 		acc = Add(acc, Mul(step, step))
 	}
 	return acc
-}
-
-// BenchmarkInternOn measures canonical construction (the production
-// configuration): repeated structures come back as table hits.
-func BenchmarkInternOn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if buildWorkload(64) == nil {
-			b.Fatal("nil")
-		}
-	}
-}
-
-// BenchmarkInternOff measures the same construction with the table
-// bypassed — every node allocated fresh, as before hash-consing.
-func BenchmarkInternOff(b *testing.B) {
-	prev := SetInterning(false)
-	defer SetInterning(prev)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if buildWorkload(64) == nil {
-			b.Fatal("nil")
-		}
-	}
 }
 
 // BenchmarkStructuralEquality measures the O(1) equality claim: two

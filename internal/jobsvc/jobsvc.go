@@ -92,6 +92,9 @@ type ProgramSpec struct {
 // JobSpec is one request. Exactly one of Driver (a bundled binary),
 // Program (an uploaded image) or Fuzz (a differential-fuzzing run)
 // must be set; zero values elsewhere select the engine defaults.
+// Fields of retired settings ("solver_backend",
+// "disable_incremental_solver") are still accepted in submissions and
+// journals, and ignored.
 type JobSpec struct {
 	Driver  string       `json:"driver,omitempty"`
 	Program *ProgramSpec `json:"program,omitempty"`
@@ -121,12 +124,11 @@ type JobSpec struct {
 	// workers, peers or stealing.
 	ShardFactor int `json:"shard_factor,omitempty"`
 	// Exploration budgets (symexec.Config fields; 0 = default).
-	MaxStates                int  `json:"max_states,omitempty"`
-	PhaseBudget              int  `json:"phase_budget,omitempty"`
-	StagnationBudget         int  `json:"stagnation_budget,omitempty"`
-	CompleteTarget           int  `json:"complete_target,omitempty"`
-	PollThreshold            int  `json:"poll_threshold,omitempty"`
-	DisableIncrementalSolver bool `json:"disable_incremental_solver,omitempty"`
+	MaxStates        int `json:"max_states,omitempty"`
+	PhaseBudget      int `json:"phase_budget,omitempty"`
+	StagnationBudget int `json:"stagnation_budget,omitempty"`
+	CompleteTarget   int `json:"complete_target,omitempty"`
+	PollThreshold    int `json:"poll_threshold,omitempty"`
 	// DeadlineMS bounds the job's execution wall clock in
 	// milliseconds, measured from the moment the job starts running.
 	// A job past its deadline winds down cooperatively and finishes as
@@ -966,18 +968,17 @@ func engineConfig(spec JobSpec, ar *expr.Arena) symexec.Config {
 		searcher, _ = symexec.SearcherByName(spec.Strategy)
 	}
 	return symexec.Config{
-		Arena:                    ar,
-		Searcher:                 searcher,
-		Seed:                     spec.Seed,
-		Workers:                  spec.Workers,
-		Shards:                   spec.Shards,
-		ShardFactor:              spec.ShardFactor,
-		MaxStates:                spec.MaxStates,
-		PhaseBudget:              spec.PhaseBudget,
-		StagnationBudget:         spec.StagnationBudget,
-		CompleteTarget:           spec.CompleteTarget,
-		PollThreshold:            spec.PollThreshold,
-		DisableIncrementalSolver: spec.DisableIncrementalSolver,
+		Arena:            ar,
+		Searcher:         searcher,
+		Seed:             spec.Seed,
+		Workers:          spec.Workers,
+		Shards:           spec.Shards,
+		ShardFactor:      spec.ShardFactor,
+		MaxStates:        spec.MaxStates,
+		PhaseBudget:      spec.PhaseBudget,
+		StagnationBudget: spec.StagnationBudget,
+		CompleteTarget:   spec.CompleteTarget,
+		PollThreshold:    spec.PollThreshold,
 	}
 }
 

@@ -203,12 +203,12 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSolverBackendJobParity pins wire compatibility for the retired
-// solver_backend spec field: the service has one solver, and a spec
-// that still names a backend — any backend, known or not — is
-// accepted over HTTP and runs to a result byte-identical to the same
-// spec without the field.
-func TestSolverBackendJobParity(t *testing.T) {
+// TestRetiredSpecFieldsParity pins wire compatibility for retired
+// spec fields: the service has one solver with one query path, and a
+// spec that still names a backend — any backend, known or not — or
+// asks to disable the incremental solver is accepted over HTTP and
+// runs to a result byte-identical to the same spec without the field.
+func TestRetiredSpecFieldsParity(t *testing.T) {
 	svc := New(Config{Pool: 1})
 	defer svc.Drain(context.Background())
 	ts := httptest.NewServer(svc.Handler())
@@ -242,11 +242,16 @@ func TestSolverBackendJobParity(t *testing.T) {
 		return raw.Result
 	}
 	want := result(`{"driver":"RTL8029","seed":3}`)
-	for _, backend := range []string{"portfolio", "smalldomain", "z3"} {
-		t.Run(backend, func(t *testing.T) {
-			got := result(`{"driver":"RTL8029","seed":3,"solver_backend":"` + backend + `"}`)
+	for _, tc := range []struct{ name, field string }{
+		{"solver_backend=portfolio", `"solver_backend":"portfolio"`},
+		{"solver_backend=smalldomain", `"solver_backend":"smalldomain"`},
+		{"solver_backend=z3", `"solver_backend":"z3"`},
+		{"disable_incremental_solver", `"disable_incremental_solver":true`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := result(`{"driver":"RTL8029","seed":3,` + tc.field + `}`)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("result diverged from the spec without solver_backend:\n got %s\nwant %s", got, want)
+				t.Fatalf("result diverged from the spec without %s:\n got %s\nwant %s", tc.field, got, want)
 			}
 		})
 	}

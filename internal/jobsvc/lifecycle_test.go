@@ -200,16 +200,21 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc1.crash()
-	// A journal written before the solver_backend spec field was
-	// retired: its queued submission must still replay.
-	const legacyID = "job-3"
+	// Journals written before spec fields were retired: their queued
+	// submissions must still replay, ignoring the retired field.
+	legacy := map[string]string{
+		"job-3": `"solver_backend":"portfolio"`,
+		"job-4": `"disable_incremental_solver":true`,
+	}
 	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"t":"submitted","id":"` + legacyID + `","ts":"2026-01-01T00:00:00Z",` +
-		`"spec":{"driver":"RTL8029","seed":3,"solver_backend":"portfolio"}}` + "\n"); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"job-3", "job-4"} {
+		if _, err := f.WriteString(`{"t":"submitted","id":"` + id + `","ts":"2026-01-01T00:00:00Z",` +
+			`"spec":{"driver":"RTL8029","seed":3,` + legacy[id] + `}}` + "\n"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	f.Close()
 
@@ -218,8 +223,8 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	requeued, interrupted := svc2.ReplayStats()
-	if requeued != 2 || interrupted != 1 {
-		t.Fatalf("replay stats: requeued=%d interrupted=%d, want 2/1", requeued, interrupted)
+	if requeued != 3 || interrupted != 1 {
+		t.Fatalf("replay stats: requeued=%d interrupted=%d, want 3/1", requeued, interrupted)
 	}
 	ja, ok := svc2.Get(a.ID)
 	if !ok || ja.Status != StatusInterrupted {
@@ -243,22 +248,24 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if jb.Result.Code != rev.Synth.Code {
 		t.Error("replayed job's synthesized code differs from a direct run")
 	}
-	jl, err := svc2.Wait(ctx, legacyID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jl.Status != StatusSucceeded {
-		t.Fatalf("replayed legacy job: %s (%s)", jl.Status, jl.Error)
-	}
-	if !reflect.DeepEqual(jl.Result, jb.Result) {
-		t.Errorf("legacy solver_backend job diverged from the same spec without it:\n got %+v\nwant %+v", jl.Result, jb.Result)
+	for id, field := range legacy {
+		jl, err := svc2.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jl.Status != StatusSucceeded {
+			t.Fatalf("replayed legacy job %s: %s (%s)", id, jl.Status, jl.Error)
+		}
+		if !reflect.DeepEqual(jl.Result, jb.Result) {
+			t.Errorf("legacy job with %s diverged from the same spec without it:\n got %+v\nwant %+v", field, jl.Result, jb.Result)
+		}
 	}
 	// New submissions must not collide with journaled IDs.
 	c, err := svc2.Submit(quickSpec(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID == a.ID || c.ID == b.ID || c.ID == legacyID {
+	if _, clash := legacy[c.ID]; clash || c.ID == a.ID || c.ID == b.ID {
 		t.Fatalf("post-replay submission reused ID %s", c.ID)
 	}
 	drainWithin(t, svc2, 30*time.Second)

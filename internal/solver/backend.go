@@ -43,11 +43,13 @@ func (v Verdict) String() string {
 //   - Push opens a scope; Pop retires the most recent scope and every
 //     assertion made inside it. Pop on an empty scope stack panics.
 //   - SolveUnder(cond) decides SAT(asserted ∧ cond) without asserting
-//     cond; cond == nil decides the asserted conjunction alone.
+//     cond; cond == nil or constant true decides the asserted
+//     conjunction alone.
 //   - Model, valid only immediately after a VSat verdict, returns a
 //     satisfying assignment as a fresh name→value map.
-//   - SetInterrupt installs a cooperative abort hook polled during
-//     solving; an aborted query answers VUnknown.
+//
+// A backend is built with the cooperative abort hook it polls during
+// solving (nil for none); an aborted query answers VUnknown.
 //
 // Backends are not safe for concurrent use; the front end serializes
 // access (sessions under incMu, one-shots on private instances).
@@ -57,17 +59,6 @@ type Backend interface {
 	Pop()
 	SolveUnder(cond *expr.Expr) Verdict
 	Model() map[string]uint32
-	SetInterrupt(f func() bool)
-}
-
-// BackendOpts parameterizes backend construction.
-type BackendOpts struct {
-	// LearntCap is forwarded to SAT instances (0 keeps the sat
-	// default, negative disables learnt-clause deletion).
-	LearntCap int
-	// Interrupt is the cooperative abort hook (also installable later
-	// via Backend.SetInterrupt).
-	Interrupt func() bool
 }
 
 // coreBackend adapts the bit-blaster + CDCL SAT core to the Backend
@@ -80,14 +71,9 @@ type coreBackend struct {
 	b *blaster
 }
 
-func newCoreBackend(o BackendOpts) Backend {
+func newCoreBackend(interrupt func() bool) Backend {
 	b := newBlaster()
-	if o.LearntCap != 0 {
-		b.s.SetLearntCap(o.LearntCap)
-	}
-	if o.Interrupt != nil {
-		b.s.SetInterrupt(o.Interrupt)
-	}
+	b.s.SetInterrupt(interrupt)
 	return &coreBackend{b: b}
 }
 
@@ -98,8 +84,6 @@ func (c *coreBackend) Assert(e *expr.Expr) {
 
 func (c *coreBackend) Push() { c.b.s.Push() }
 func (c *coreBackend) Pop()  { c.b.s.Pop() }
-
-func (c *coreBackend) SetInterrupt(f func() bool) { c.b.s.SetInterrupt(f) }
 
 func (c *coreBackend) SolveUnder(cond *expr.Expr) Verdict {
 	var ok bool

@@ -66,7 +66,7 @@ var exprMeta = struct {
 	vars map[uint64][]string
 }{vars: map[uint64][]string{}}
 
-const exprMetaLimit = DefaultCacheLimit
+const exprMetaLimit = defaultCacheLimit
 
 // varsOf returns the sorted variable names of e, memoized per
 // interned expression ID.
@@ -187,11 +187,12 @@ func querySig(cons []*expr.Expr) uint64 {
 //     query UNSAT without solving — the "stronger query" half of
 //     KLEE's cache subsumption.
 //
-// cap (Config.RecentModels) sizes both the per-bucket model lists and
-// the recency list; cap == 0 disables the index. Like every cache
-// here it affects performance only, never answers, and it is fed only
-// from deterministic solve paths (never from aborted verdicts) so its
-// contents are bit-identical run-to-run.
+// cap (defaultCxCap) sizes both the per-bucket model lists and the
+// recency list; cap == 0, which only package tests set, disables the
+// index. Like every cache here it affects performance only, never
+// answers, and it is fed only from deterministic solve paths (never
+// from aborted verdicts) so its contents are bit-identical
+// run-to-run.
 type cxIndex struct {
 	cap    int
 	byVars map[uint64][]map[string]uint32
@@ -212,7 +213,7 @@ const (
 	// checks cost more than they save.
 	cxMaxUnsatLen = 32
 	// cxMaxBuckets bounds the SAT side's bucket count.
-	cxMaxBuckets = DefaultCacheLimit
+	cxMaxBuckets = defaultCacheLimit
 )
 
 func newCxIndex(cap int) *cxIndex {
@@ -361,8 +362,8 @@ func (s *Solver) trySat(sig uint64, constraints []*expr.Expr) (map[string]uint32
 	// Snapshot candidates into a stack buffer: this runs on every
 	// query that misses the verdict cache, and a heap copy per probe
 	// would undo the zero-allocation property of the fingerprint path.
-	// Oversized configured indexes (rare) fall back to one allocation.
-	var buf [4 * DefaultRecentModels]map[string]uint32
+	// Oversized test indexes fall back to one allocation.
+	var buf [4 * defaultCxCap]map[string]uint32
 	cand := buf[:0]
 	s.mu.Lock()
 	cand = append(cand, s.cx.byVars[sig]...)

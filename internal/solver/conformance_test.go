@@ -70,7 +70,7 @@ func bruteSat(names []string, cons []*expr.Expr) bool {
 // Backend implementation must agree with brute-force ground truth on
 // scoped queries, produce verifiable models, keep push/pop balanced,
 // and honor the interrupt hook.
-func BackendConformanceTest(t *testing.T, factory func(BackendOpts) Backend) {
+func BackendConformanceTest(t *testing.T, factory func(interrupt func() bool) Backend) {
 	t.Helper()
 	names := []string{"cfa", "cfb", "cfc"}
 	vars := make([]*expr.Expr, len(names))
@@ -81,7 +81,7 @@ func BackendConformanceTest(t *testing.T, factory func(BackendOpts) Backend) {
 	t.Run("agreement", func(t *testing.T) {
 		r := rand.New(rand.NewSource(17))
 		for trial := 0; trial < 40; trial++ {
-			b := factory(BackendOpts{})
+			b := factory(nil)
 			all := []*expr.Expr{}
 			for i, n := 0, r.Intn(3); i < n; i++ {
 				c := randCons(r, vars)
@@ -126,7 +126,7 @@ func BackendConformanceTest(t *testing.T, factory func(BackendOpts) Backend) {
 	})
 
 	t.Run("pushpop-balance", func(t *testing.T) {
-		b := factory(BackendOpts{})
+		b := factory(nil)
 		b.Assert(expr.Eq(vars[0], expr.C(3, 4)))
 		for depth := 0; depth < 5; depth++ {
 			b.Push()
@@ -154,7 +154,7 @@ func BackendConformanceTest(t *testing.T, factory func(BackendOpts) Backend) {
 				t.Fatal("Pop with no open scope did not panic")
 			}
 		}()
-		factory(BackendOpts{}).Pop()
+		factory(nil).Pop()
 	})
 
 	t.Run("interrupt-honored", func(t *testing.T) {
@@ -164,7 +164,7 @@ func BackendConformanceTest(t *testing.T, factory func(BackendOpts) Backend) {
 		// immediately (out of domain) or hits the interrupt poll.
 		x, y := expr.S("cfix", 32), expr.S("cfiy", 32)
 		hard := expr.Eq(expr.Mul(x, y), expr.C(0xDEADBEEF, 32))
-		b := factory(BackendOpts{Interrupt: func() bool { return true }})
+		b := factory(func() bool { return true })
 		b.Assert(hard)
 		if v := b.SolveUnder(nil); v != VUnknown {
 			t.Fatalf("verdict %v under always-firing interrupt, want unknown", v)
@@ -232,7 +232,8 @@ func TestFrontEndMatchesBruteForce(t *testing.T) {
 	}
 	s := New()
 	run(s)
-	noIndex := NewWith(Config{RecentModels: -1})
+	noIndex := New()
+	noIndex.cx = newCxIndex(0)
 	run(noIndex)
 	if _, hits := s.Stats(); hits == 0 {
 		t.Error("run never hit the fingerprint cache")
@@ -263,14 +264,14 @@ func (f *flakyBackend) SolveUnder(cond *expr.Expr) Verdict {
 
 // flakyOnce returns a backend constructor whose first instance fails
 // its first solve; every later instance is the plain core.
-func flakyOnce() func(BackendOpts) Backend {
+func flakyOnce() func(interrupt func() bool) Backend {
 	built := 0
-	return func(o BackendOpts) Backend {
+	return func(interrupt func() bool) Backend {
 		built++
 		if built == 1 {
-			return &flakyBackend{Backend: newCoreBackend(o), failures: 1}
+			return &flakyBackend{Backend: newCoreBackend(interrupt), failures: 1}
 		}
-		return newCoreBackend(o)
+		return newCoreBackend(interrupt)
 	}
 }
 
@@ -414,7 +415,7 @@ func TestUnsatSubsumption(t *testing.T) {
 // global recency list has cycled past it — the old 4-entry ring
 // forgot it.
 func TestIndexOutlivesRecencyList(t *testing.T) {
-	s := New() // recency list holds DefaultRecentModels = 4
+	s := New() // recency list holds defaultCxCap = 4
 	x := expr.S("iwx", 8)
 	if !s.Satisfiable([]*expr.Expr{expr.Ult(x, expr.C(10, 8))}) {
 		t.Fatal("sat expected")

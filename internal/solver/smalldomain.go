@@ -31,8 +31,8 @@ type smallDomain struct {
 	model     map[string]uint32
 }
 
-func newSmallDomainBackend(o BackendOpts) Backend {
-	return &smallDomain{interrupt: o.Interrupt}
+func newSmallDomainBackend(interrupt func() bool) Backend {
+	return &smallDomain{interrupt: interrupt}
 }
 
 func (d *smallDomain) Assert(c *expr.Expr) { d.stack = append(d.stack, c) }
@@ -47,8 +47,6 @@ func (d *smallDomain) Pop() {
 	d.marks = d.marks[:len(d.marks)-1]
 	d.stack = d.stack[:n]
 }
-
-func (d *smallDomain) SetInterrupt(f func() bool) { d.interrupt = f }
 
 func (d *smallDomain) Model() map[string]uint32 { return copyModel(d.model) }
 

@@ -6,7 +6,7 @@
 //     per-variable-set counterexample index, constraint-independence
 //     slicing, and incremental sessions;
 //   - the Backend seam (backend.go): a minimal Assert / Push / Pop /
-//     SolveUnder / Model / SetInterrupt contract;
+//     SolveUnder / Model contract;
 //   - the one backend the solver runs: the core, bit-blasting to CNF
 //     over the CDCL SAT core (blast.go + package sat). An exhaustive
 //     small-domain evaluator (smalldomain.go) implements the same
@@ -54,17 +54,17 @@ const (
 	Sat
 )
 
-// DefaultCacheLimit bounds the query cache. When an exploration
+// defaultCacheLimit bounds the query cache. When an exploration
 // would grow the cache past the limit the cache (and the model cache
 // beside it) is reset — an epoch flush — so long runs hold at most
 // one epoch of memoized queries; Evictions reports how often that
 // happened.
-const DefaultCacheLimit = 1 << 16
+const defaultCacheLimit = 1 << 16
 
-// DefaultRecentModels is the default counterexample-index capacity:
-// models kept per variable-set bucket, and the size of the global
-// recency list probed as a fallback.
-const DefaultRecentModels = 4
+// defaultCxCap is the counterexample-index capacity: models kept per
+// variable-set bucket, and the size of the global recency list probed
+// as a fallback.
+const defaultCxCap = 4
 
 // Config parameterizes a solver. The zero value selects the defaults
 // New uses.
@@ -75,22 +75,6 @@ type Config struct {
 	// job-scoped solver must pass the job's arena so its expressions
 	// die with the job.
 	Arena *expr.Arena
-	// CacheLimit bounds the query/model caches; 0 selects
-	// DefaultCacheLimit.
-	CacheLimit int
-	// RecentModels sizes the counterexample index (models kept per
-	// variable-set bucket and in the recency list). 0 selects
-	// DefaultRecentModels; negative disables model reuse across
-	// queries entirely. The size affects performance only, never
-	// query answers.
-	RecentModels int
-	// LearntCap is forwarded to every SAT instance the solver
-	// creates (sat.Solver.SetLearntCap): 0 keeps the SAT default,
-	// negative disables learnt-clause deletion.
-	LearntCap int
-	// DisableIncremental starts the solver with incremental branch
-	// queries off (ablation).
-	DisableIncremental bool
 	// Interrupt, when non-nil, is polled during solving (forwarded to
 	// every backend instance): returning true aborts the
 	// solve. Aborted queries answer conservatively (UNSAT / no model)
@@ -110,22 +94,23 @@ type Config struct {
 // private backend instance and proceed in parallel; incremental
 // branch queries serialize on the shared session.
 type Solver struct {
-	ar   *expr.Arena
-	opts BackendOpts
+	ar        *expr.Arena
+	interrupt func() bool
 	// newBackend builds every backend instance: sessions and one-shots
 	// alike. It is always newCoreBackend; package tests overwrite it to
 	// substitute a fake.
-	newBackend func(BackendOpts) Backend
+	newBackend func(interrupt func() bool) Backend
 
-	mu         sync.Mutex
-	cache      map[uint64]bool
-	models     map[uint64]map[string]uint32
-	cx         *cxIndex
+	mu     sync.Mutex
+	cache  map[uint64]bool
+	models map[uint64]map[string]uint32
+	cx     *cxIndex
+	// cacheLimit is always defaultCacheLimit; package tests lower it
+	// to exercise epoch flushes.
 	cacheLimit int
 
-	incremental atomic.Bool
-	incMu       sync.Mutex
-	inc         *session
+	incMu sync.Mutex
+	inc   *session
 
 	queries   atomic.Int64
 	hits      atomic.Int64
@@ -154,46 +139,26 @@ type session struct {
 // sessionPopGC is the pop count after which a session is rebuilt.
 const sessionPopGC = 4096
 
-// New returns a solver with the default configuration: default arena,
-// cache bounded at DefaultCacheLimit entries, a
-// DefaultRecentModels-sized counterexample index, and incremental
-// branch queries enabled.
+// New returns a solver on the process-global default arena with no
+// interrupt hook.
 func New() *Solver { return NewWith(Config{}) }
 
-// NewWith returns a solver configured by cfg.
+// NewWith returns a solver building derived expressions in cfg.Arena
+// and polling cfg.Interrupt during every solve.
 func NewWith(cfg Config) *Solver {
 	if cfg.Arena == nil {
 		cfg.Arena = expr.Default()
 	}
-	if cfg.CacheLimit <= 0 {
-		cfg.CacheLimit = DefaultCacheLimit
-	}
-	ring := cfg.RecentModels
-	if ring == 0 {
-		ring = DefaultRecentModels
-	} else if ring < 0 {
-		ring = 0
-	}
-	s := &Solver{
+	return &Solver{
 		ar:         cfg.Arena,
-		opts:       BackendOpts{LearntCap: cfg.LearntCap, Interrupt: cfg.Interrupt},
+		interrupt:  cfg.Interrupt,
 		newBackend: newCoreBackend,
 		cache:      map[uint64]bool{},
 		models:     map[uint64]map[string]uint32{},
-		cx:         newCxIndex(ring),
-		cacheLimit: cfg.CacheLimit,
+		cx:         newCxIndex(defaultCxCap),
+		cacheLimit: defaultCacheLimit,
 	}
-	s.incremental.Store(!cfg.DisableIncremental)
-	return s
 }
-
-// SetIncremental toggles incremental branch queries (MayBeTrue's
-// shared backend session). Answers are identical either way; the
-// switch exists for the ablation benchmarks.
-func (s *Solver) SetIncremental(on bool) { s.incremental.Store(on) }
-
-// Incremental reports whether incremental branch queries are enabled.
-func (s *Solver) Incremental() bool { return s.incremental.Load() }
 
 // Stats returns the number of queries answered and the fingerprint
 // cache hits among them. It is safe to call while queries are in
@@ -226,28 +191,11 @@ func (s *Solver) CacheSize() int {
 // flushed.
 func (s *Solver) Evictions() int64 { return s.evictions.Load() }
 
-// SetCacheLimit overrides the cache bound (entries); n <= 0 restores
-// the default. The bound affects memory and hit rate only, never
-// query answers.
-func (s *Solver) SetCacheLimit(n int) {
-	if n <= 0 {
-		n = DefaultCacheLimit
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cacheLimit = n
-	if len(s.cache) > n {
-		s.flushLocked()
-	}
-}
-
-// RingSize reports the counterexample index capacity (models kept per
-// variable-set bucket; also the recency-list length). The name is
-// historical — the index replaced a single recency ring.
-func (s *Solver) RingSize() int { return s.cx.cap }
-
 // Satisfiable reports whether the conjunction of the given width-1
-// constraints has a model.
+// constraints has a model, deciding it on a fresh backend when the
+// caches cannot answer. The engine asks branch queries through
+// MayBeTrue instead; this one-shot path is the reference the
+// incremental session is tested against.
 func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 	s.queries.Add(1)
 	live, unsat := liveConstraints(constraints)
@@ -258,58 +206,72 @@ func (s *Solver) Satisfiable(constraints []*expr.Expr) bool {
 		return true
 	}
 	fp := fingerprint(live)
-	if r, ok := s.cacheGet(fp); ok {
-		s.hits.Add(1)
+	sig, r, ok := s.reuse(fp, live)
+	if ok {
 		return r
 	}
-	sig := querySig(live)
-	if m, ok := s.trySat(sig, live); ok {
+	_, r = s.solveOneShot(fp, sig, live)
+	return r
+}
+
+// reuse answers a feasibility query without solving when it can: from
+// the verdict cache, or from the counterexample index (a stored model
+// that satisfies every constraint, or a stored UNSAT subset). ok
+// reports whether it answered; on a miss it returns the query's
+// variable-set signature for the solve that follows.
+func (s *Solver) reuse(fp uint64, cons []*expr.Expr) (sig uint64, sat, ok bool) {
+	if r, ok := s.cacheGet(fp); ok {
+		s.hits.Add(1)
+		return 0, r, true
+	}
+	sig = querySig(cons)
+	if m, ok := s.trySat(sig, cons); ok {
 		s.modelHits.Add(1)
 		s.cachePut(fp, true)
 		s.rememberModel(fp, m)
-		return true
+		return sig, true, true
 	}
-	if s.tryUnsat(live) {
+	if s.tryUnsat(cons) {
 		s.modelHits.Add(1)
 		s.cachePut(fp, false)
-		return false
+		return sig, false, true
 	}
-	b := s.newBackend(s.opts)
+	return sig, false, false
+}
+
+// solveOneShot decides the live conjunction on a fresh backend and
+// records a decided verdict (and, when SAT, its model) in the caches.
+// The returned model is owned by the caches; callers copy it before
+// handing it out. An aborted solve records nothing and reports false.
+func (s *Solver) solveOneShot(fp, sig uint64, live []*expr.Expr) (map[string]uint32, bool) {
+	b := s.newBackend(s.interrupt)
 	for _, c := range live {
 		b.Assert(c)
 	}
 	switch b.SolveUnder(nil) {
 	case VSat:
-		s.storeModel(fp, sig, b.Model())
+		m := b.Model()
 		s.cachePut(fp, true)
-		return true
+		s.storeModel(fp, sig, m)
+		return m, true
 	case VUnsat:
-		s.storeUnsat(live)
 		s.cachePut(fp, false)
-		return false
-	default:
-		// Aborted or out of the backend's domain: "unknown" answered
-		// as UNSAT, never cached.
-		return false
+		s.storeUnsat(live)
 	}
+	return nil, false
 }
 
 // MayBeTrue reports whether cond can be true under the path
 // constraints: SAT(pc ∧ cond). The path condition is sliced to the
-// constraints relevant to cond first; with incremental solving
-// enabled the sliced prefix lives on a shared backend session —
-// synchronized by push/pop so sibling states after a fork share the
-// common prefix — and cond is decided under an assumption
-// (SolveUnder), so a branch's two queries (cond, ¬cond) and
-// consecutive branches over the same variables share translation
+// constraints relevant to cond first; the sliced prefix lives on a
+// shared backend session — synchronized by push/pop so sibling states
+// after a fork share the common prefix — and cond is decided under an
+// assumption (SolveUnder), so a branch's two queries (cond, ¬cond)
+// and consecutive branches over the same variables share translation
 // work and learnt clauses.
 func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
-	rel := Slice(pc, cond)
-	if !s.incremental.Load() {
-		return s.Satisfiable(append(rel, cond))
-	}
 	s.queries.Add(1)
-	prefix, unsat := liveConstraints(rel)
+	prefix, unsat := liveConstraints(Slice(pc, cond))
 	if unsat || cond.IsFalse() {
 		return false
 	}
@@ -321,27 +283,11 @@ func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) bool {
 		return true
 	}
 	fp := fingerprint(full)
-	if r, ok := s.cacheGet(fp); ok {
-		s.hits.Add(1)
+	sig, r, ok := s.reuse(fp, full)
+	if ok {
 		return r
 	}
-	sig := querySig(full)
-	if m, ok := s.trySat(sig, full); ok {
-		s.modelHits.Add(1)
-		s.cachePut(fp, true)
-		s.rememberModel(fp, m)
-		return true
-	}
-	if s.tryUnsat(full) {
-		s.modelHits.Add(1)
-		s.cachePut(fp, false)
-		return false
-	}
-	var q *expr.Expr
-	if !cond.IsTrue() {
-		q = cond
-	}
-	v, model := s.solveSession(prefix, q)
+	v, model := s.solveSession(prefix, cond)
 	switch v {
 	case VSat:
 		s.storeModel(fp, sig, model)
@@ -369,7 +315,7 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 	defer s.incMu.Unlock()
 	sess := s.inc
 	if sess == nil || sess.pops >= sessionPopGC {
-		sess = &session{b: s.newBackend(s.opts)}
+		sess = &session{b: s.newBackend(s.interrupt)}
 		s.inc = sess
 		s.rebuilt.Add(1)
 	} else {
@@ -441,23 +387,11 @@ func (s *Solver) Model(constraints []*expr.Expr) (map[string]uint32, bool) {
 		s.cachePut(fp, false)
 		return nil, false
 	}
-	b := s.newBackend(s.opts)
-	for _, c := range live {
-		b.Assert(c)
-	}
-	switch b.SolveUnder(nil) {
-	case VSat:
-		model := b.Model()
-		s.cachePut(fp, true)
-		s.storeModel(fp, sig, model)
-		return copyModel(model), true
-	case VUnsat:
-		s.cachePut(fp, false)
-		s.storeUnsat(live)
-		return nil, false
-	default:
+	m, ok := s.solveOneShot(fp, sig, live)
+	if !ok {
 		return nil, false
 	}
+	return copyModel(m), true
 }
 
 func copyModel(m map[string]uint32) map[string]uint32 {

@@ -377,7 +377,7 @@ func TestConcurrentSolving(t *testing.T) {
 // overflow flushes an epoch and is reported via Evictions.
 func TestCacheBound(t *testing.T) {
 	s := New()
-	s.SetCacheLimit(8)
+	s.cacheLimit = 8
 	x := expr.S("x", 32)
 	for i := 0; i < 100; i++ {
 		c := expr.Eq(x, expr.C(uint32(i), 32))
@@ -396,13 +396,16 @@ func TestCacheBound(t *testing.T) {
 // TestIncrementalMatchesOneShot is the equivalence regression for the
 // incremental branch-query path: across random path-constraint
 // sequences, MayBeTrue with the shared SAT session must answer
-// exactly like a fresh non-incremental solver.
+// exactly like a one-shot Satisfiable of the same sliced query on a
+// second solver.
 func TestIncrementalMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
+	oneShotMay := func(s *Solver, pc []*expr.Expr, cond *expr.Expr) bool {
+		return s.Satisfiable(append(Slice(pc, cond), cond))
+	}
 	for trial := 0; trial < 60; trial++ {
 		inc := New()
 		oneShot := New()
-		oneShot.SetIncremental(false)
 		vars := []*expr.Expr{expr.S("ia", 8), expr.S("ib", 8), expr.S("ic", 8)}
 		var pc []*expr.Expr
 		for step := 0; step < 8; step++ {
@@ -419,12 +422,12 @@ func TestIncrementalMatchesOneShot(t *testing.T) {
 			default:
 				cond = expr.Slt(x, c)
 			}
-			a, b := inc.MayBeTrue(pc, cond), oneShot.MayBeTrue(pc, cond)
+			a, b := inc.MayBeTrue(pc, cond), oneShotMay(oneShot, pc, cond)
 			if a != b {
 				t.Fatalf("trial %d step %d: incremental=%v one-shot=%v for %s under %v",
 					trial, step, a, b, cond, pc)
 			}
-			na, nb := inc.MayBeTrue(pc, expr.Not(cond)), oneShot.MayBeTrue(pc, expr.Not(cond))
+			na, nb := inc.MayBeTrue(pc, expr.Not(cond)), oneShotMay(oneShot, pc, expr.Not(cond))
 			if na != nb {
 				t.Fatalf("trial %d step %d: negated divergence for %s", trial, step, cond)
 			}
@@ -562,51 +565,36 @@ func BenchmarkSolverFingerprint(b *testing.B) {
 	})
 }
 
-// BenchmarkMayBeTrue measures the branch-feasibility hot path with
-// and without incremental sessions on a growing path condition.
+// BenchmarkMayBeTrue measures the branch-feasibility hot path on a
+// growing path condition.
 func BenchmarkMayBeTrue(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		inc  bool
-	}{{"incremental", true}, {"one-shot", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := New()
-				s.SetIncremental(mode.inc)
-				x := expr.S("bm", 16)
-				var pc []*expr.Expr
-				for step := 0; step < 12; step++ {
-					// Each condition pins different bits of x, so cached
-					// models rarely satisfy the next query and the SAT
-					// core does real work at every branch.
-					cond := expr.Eq(
-						expr.And(expr.Add(x, expr.C(uint32(step*13), 16)), expr.C(0xFF, 16)),
-						expr.C(uint32(step*37)&0xFF, 16))
-					if s.MayBeTrue(pc, cond) {
-						pc = append(pc, cond)
-					} else {
-						pc = append(pc, expr.Not(cond))
-					}
-				}
+	for i := 0; i < b.N; i++ {
+		s := New()
+		x := expr.S("bm", 16)
+		var pc []*expr.Expr
+		for step := 0; step < 12; step++ {
+			// Each condition pins different bits of x, so cached
+			// models rarely satisfy the next query and the SAT core
+			// does real work at every branch.
+			cond := expr.Eq(
+				expr.And(expr.Add(x, expr.C(uint32(step*13), 16)), expr.C(0xFF, 16)),
+				expr.C(uint32(step*37)&0xFF, 16))
+			if s.MayBeTrue(pc, cond) {
+				pc = append(pc, cond)
+			} else {
+				pc = append(pc, expr.Not(cond))
 			}
-		})
+		}
 	}
 }
 
+// TestConfigurableCounterexampleRing pins that the counterexample
+// index capacity never changes answers, including a disabled index.
 func TestConfigurableCounterexampleRing(t *testing.T) {
-	if got := New().RingSize(); got != DefaultRecentModels {
-		t.Fatalf("default ring size %d, want %d", got, DefaultRecentModels)
-	}
-	if got := NewWith(Config{RecentModels: 16}).RingSize(); got != 16 {
-		t.Fatalf("ring size %d, want 16", got)
-	}
-	if got := NewWith(Config{RecentModels: -1}).RingSize(); got != 0 {
-		t.Fatalf("ring size %d, want 0 (disabled)", got)
-	}
-	// Answers must not depend on the ring size, including disabled.
 	x := expr.S("ringx", 8)
-	for _, ring := range []int{-1, 1, 16} {
-		s := NewWith(Config{RecentModels: ring})
+	for _, ring := range []int{0, 1, 16} {
+		s := New()
+		s.cx = newCxIndex(ring)
 		pc := []*expr.Expr{expr.Ult(x, expr.C(10, 8))}
 		if !s.Satisfiable(pc) {
 			t.Fatalf("ring %d: x < 10 must be SAT", ring)
