@@ -1,7 +1,8 @@
 // Command perfgate is the CI performance-regression gate: it compares
 // a freshly generated revbench grid report against the committed
-// baseline (BENCH_9.json) and fails when any matching cell's mean
-// wall-clock regressed beyond the threshold.
+// baseline (BENCH_10.json) and fails when any matching cell's mean
+// wall-clock regressed beyond the threshold, or when any of its
+// deterministic counters differs from the baseline at all.
 //
 // Cells match on (solver, searcher, workers, shard_factor, scenario) —
 // an absent searcher means "coverage", so baselines written before the
@@ -14,10 +15,18 @@
 // regressions (a scheduler serializing, a solver losing its cache), not
 // jitter.
 //
+// The counters (solver queries, cache hits, model hits, covered blocks,
+// SAT decisions and conflicts) are fixed by each cell's schedule on any
+// machine, so they are gated exactly: every counter the baseline cell
+// records must read the same in the fresh cell. A change that moves
+// them, for better or worse, must re-record the baseline in the same
+// change. That check has teeth on hardware of any speed, where the
+// timing check alone does not.
+//
 // Usage:
 //
 //	revbench -grid -repeats 2 -grid-out fresh.json
-//	perfgate -base BENCH_9.json -fresh fresh.json
+//	perfgate -base BENCH_10.json -fresh fresh.json
 package main
 
 import (
@@ -36,6 +45,21 @@ type cell struct {
 	ShardFactor int     `json:"shard_factor,omitempty"`
 	Scenario    string  `json:"scenario,omitempty"`
 	MeanMS      float64 `json:"mean_ms"`
+	// The deterministic counters; nil when the report does not record
+	// one.
+	SolverQueries *int64 `json:"solver_queries,omitempty"`
+	CacheHits     *int64 `json:"cache_hits,omitempty"`
+	ModelHits     *int64 `json:"model_hits,omitempty"`
+	CoveredBlocks *int64 `json:"covered_blocks,omitempty"`
+	SATDecisions  *int64 `json:"sat_decisions,omitempty"`
+	SATConflicts  *int64 `json:"sat_conflicts,omitempty"`
+}
+
+// counterNames names the deterministic counters, in counters() order.
+var counterNames = [...]string{"solver_queries", "cache_hits", "model_hits", "covered_blocks", "sat_decisions", "sat_conflicts"}
+
+func (c cell) counters() [len(counterNames)]*int64 {
+	return [...]*int64{c.SolverQueries, c.CacheHits, c.ModelHits, c.CoveredBlocks, c.SATDecisions, c.SATConflicts}
 }
 
 type report struct {
@@ -71,7 +95,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		base      = flag.String("base", "BENCH_9.json", "committed baseline grid report")
+		base      = flag.String("base", "BENCH_10.json", "committed baseline grid report")
 		fresh     = flag.String("fresh", "", "freshly generated grid report to gate")
 		threshold = flag.Float64("threshold", 0.25, "maximum allowed fractional mean regression per cell")
 	)
@@ -90,25 +114,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(2)
 	}
-	matched, regressions, err := compare(baseRep, freshRep, *threshold, os.Stdout)
+	matched, regressions, mismatches, err := compare(baseRep, freshRep, *threshold, os.Stdout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(2)
 	}
-	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "perfgate: %d of %d cells regressed beyond %.0f%%\n",
-			regressions, matched, 100**threshold)
+	if regressions > 0 || mismatches > 0 {
+		fmt.Fprintf(os.Stderr, "perfgate: %d of %d cells regressed beyond %.0f%%; %d cells' counters differ from the baseline\n",
+			regressions, matched, 100**threshold, mismatches)
 		os.Exit(1)
 	}
-	fmt.Printf("perfgate: %d cells within %.0f%% of baseline\n", matched, 100**threshold)
+	fmt.Printf("perfgate: %d cells within %.0f%% of baseline, counters equal\n", matched, 100**threshold)
 }
 
 // compare gates fresh against base, writing one line per cell to w: a
-// verdict for every matched cell, and a skip note for every cell only
-// one report holds. It returns how many cells matched and how many of
-// those regressed by more than threshold; no matched cell at all is an
-// error, since the gate would then check nothing.
-func compare(base, fresh report, threshold float64, w io.Writer) (matched, regressions int, err error) {
+// verdict for every matched cell, a line for every counter that
+// differs, and a skip note for every cell only one report holds. It
+// returns how many cells matched, how many of those regressed by more
+// than threshold, and how many have a counter that differs from the
+// baseline; no matched cell at all is an error, since the gate would
+// then check nothing.
+func compare(base, fresh report, threshold float64, w io.Writer) (matched, regressions, mismatches int, err error) {
 	baseline := make(map[string]cell, len(base.Cells))
 	for _, c := range base.Cells {
 		baseline[key(c)] = c
@@ -126,6 +152,9 @@ func compare(base, fresh report, threshold float64, w io.Writer) (matched, regre
 			continue
 		}
 		matched++
+		if !sameCounters(b, f, w) {
+			mismatches++
+		}
 		ratio := f.MeanMS/b.MeanMS - 1
 		status := "ok"
 		if ratio > threshold {
@@ -141,7 +170,27 @@ func compare(base, fresh report, threshold float64, w io.Writer) (matched, regre
 		}
 	}
 	if matched == 0 {
-		return 0, 0, errors.New("no cells matched between reports")
+		return 0, 0, 0, errors.New("no cells matched between reports")
 	}
-	return matched, regressions, nil
+	return matched, regressions, mismatches, nil
+}
+
+// sameCounters reports whether fresh records every counter base does
+// with the same value, writing a line to w for each that differs.
+func sameCounters(base, fresh cell, w io.Writer) bool {
+	same := true
+	fc := fresh.counters()
+	for i, b := range base.counters() {
+		f := fc[i]
+		if b == nil || f != nil && *f == *b {
+			continue
+		}
+		same = false
+		got := "missing"
+		if f != nil {
+			got = fmt.Sprint(*f)
+		}
+		fmt.Fprintf(w, "perfgate: %-40s %s base %d fresh %s  COUNTER MISMATCH\n", key(fresh), counterNames[i], *b, got)
+	}
+	return same
 }

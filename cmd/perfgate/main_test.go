@@ -26,7 +26,7 @@ func TestCompareNotesBaselineOnlyCells(t *testing.T) {
 	)
 	fresh := gridOf(cell{Solver: "incremental", Workers: 1, MeanMS: 101})
 	var out strings.Builder
-	matched, regressions, err := compare(base, fresh, 0.25, &out)
+	matched, regressions, _, err := compare(base, fresh, 0.25, &out)
 	if err != nil || matched != 1 || regressions != 0 {
 		t.Fatalf("compare = %d matched, %d regressions, %v; want 1, 0, nil\n%s", matched, regressions, err, out.String())
 	}
@@ -47,7 +47,7 @@ func TestCompareNotesFreshOnlyCells(t *testing.T) {
 		cell{Solver: "incremental", Workers: 4, Searcher: "dfs", MeanMS: 600},
 	)
 	var out strings.Builder
-	matched, _, err := compare(base, fresh, 0.25, &out)
+	matched, _, _, err := compare(base, fresh, 0.25, &out)
 	if err != nil || matched != 1 {
 		t.Fatalf("compare = %d matched, %v; want 1, nil", matched, err)
 	}
@@ -68,7 +68,7 @@ func TestCompareCountsRegression(t *testing.T) {
 		cell{Solver: "incremental", Workers: 4, MeanMS: 124},
 	)
 	var out strings.Builder
-	matched, regressions, err := compare(base, fresh, 0.25, &out)
+	matched, regressions, _, err := compare(base, fresh, 0.25, &out)
 	if err != nil || matched != 2 || regressions != 1 {
 		t.Fatalf("compare = %d matched, %d regressions, %v; want 2, 1, nil\n%s", matched, regressions, err, out.String())
 	}
@@ -81,7 +81,42 @@ func TestCompareNoMatchedCellsIsError(t *testing.T) {
 	base := gridOf(cell{Solver: "no-incremental", Workers: 1, MeanMS: 170})
 	fresh := gridOf(cell{Solver: "incremental", Workers: 1, MeanMS: 100})
 	var out strings.Builder
-	if _, _, err := compare(base, fresh, 0.25, &out); err == nil {
+	if _, _, _, err := compare(base, fresh, 0.25, &out); err == nil {
 		t.Fatalf("zero matched cells must be an error:\n%s", out.String())
+	}
+}
+
+func n(v int64) *int64 { return &v }
+
+func TestCompareGatesCountersExactly(t *testing.T) {
+	base := gridOf(
+		cell{Solver: "incremental", Workers: 1, MeanMS: 100, SolverQueries: n(2921), SATDecisions: n(5000)},
+		cell{Solver: "incremental", Workers: 4, MeanMS: 100, SolverQueries: n(2921), SATConflicts: n(40)},
+		// A baseline cell without counters gates timing only.
+		cell{Solver: "incremental", Workers: 4, ShardFactor: 1, MeanMS: 100},
+	)
+	fresh := gridOf(
+		// Fewer decisions is a counter change too: the baseline must be
+		// re-recorded along with it.
+		cell{Solver: "incremental", Workers: 1, MeanMS: 90, SolverQueries: n(2921), SATDecisions: n(4999)},
+		cell{Solver: "incremental", Workers: 4, MeanMS: 100, SolverQueries: n(2921)},
+		cell{Solver: "incremental", Workers: 4, ShardFactor: 1, MeanMS: 100, SolverQueries: n(1)},
+	)
+	var out strings.Builder
+	matched, regressions, mismatches, err := compare(base, fresh, 0.25, &out)
+	if err != nil || matched != 3 || regressions != 0 || mismatches != 2 {
+		t.Fatalf("compare = %d matched, %d regressions, %d mismatches, %v; want 3, 0, 2, nil\n%s",
+			matched, regressions, mismatches, err, out.String())
+	}
+	for _, want := range []string{
+		"sat_decisions base 5000 fresh 4999  COUNTER MISMATCH",
+		"sat_conflicts base 40 fresh missing  COUNTER MISMATCH",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("no %q line:\n%s", want, out.String())
+		}
+	}
+	if strings.Count(out.String(), "MISMATCH") != 2 {
+		t.Errorf("want exactly two mismatch lines:\n%s", out.String())
 	}
 }

@@ -57,6 +57,11 @@ type gridCell struct {
 	CacheHits     int64 `json:"cache_hits"`
 	ModelHits     int64 `json:"model_hits"`
 	CoveredBlocks int   `json:"covered_blocks"`
+	// SAT search work behind those queries, summed the same way. The
+	// straggler cells, which read a coordinator job result, leave
+	// them out.
+	SATDecisions int64 `json:"sat_decisions,omitempty"`
+	SATConflicts int64 `json:"sat_conflicts,omitempty"`
 	// SpeedupX, on the straggler-steal cell, is the no-steal cell's
 	// mean divided by this cell's mean: how much stealing recovers
 	// from one slow peer.
@@ -112,12 +117,15 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 			cell.RunsMS = append(cell.RunsMS, float64(elapsed.Microseconds())/1000)
 			if rep == repeats-1 {
 				cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.CoveredBlocks = 0, 0, 0, 0
+				cell.SATDecisions, cell.SATConflicts = 0, 0
 				for _, d := range names {
 					e := ctx.Get(d).Exploration
 					cell.SolverQueries += e.SolverQueries
 					cell.CacheHits += e.SolverCacheHits
 					cell.ModelHits += e.SolverModelHits
 					cell.CoveredBlocks += e.Collector.CoveredBlocks()
+					cell.SATDecisions += e.SATDecisions
+					cell.SATConflicts += e.SATConflicts
 				}
 			}
 		}
@@ -126,9 +134,9 @@ func runGrid(strategy string, searcher symexec.SearcherFactory, repeats int, out
 		if label == "" {
 			label = strategy
 		}
-		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d factor=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses)\n",
+		fmt.Fprintf(os.Stderr, "revbench: grid %-14s workers=%d factor=%d searcher=%s: %.0f ms ± %.0f (%d queries, %d cache hits, %d model reuses, %d SAT decisions, %d SAT conflicts)\n",
 			cell.Solver, cell.Workers, cell.ShardFactor, label, cell.MeanMS, cell.StdMS,
-			cell.SolverQueries, cell.CacheHits, cell.ModelHits)
+			cell.SolverQueries, cell.CacheHits, cell.ModelHits, cell.SATDecisions, cell.SATConflicts)
 		return cell, nil
 	}
 	for _, workers := range []int{1, 4} {

@@ -6,7 +6,7 @@
 //	revbench -exp all            # everything
 //	revbench -exp fig2           # one experiment
 //	revbench -list               # enumerate experiment IDs
-//	revbench -grid               # worker/shard-factor/searcher timing grid -> BENCH_9.json
+//	revbench -grid               # worker/shard-factor/searcher timing grid -> BENCH_10.json
 package main
 
 import (
@@ -30,7 +30,7 @@ func main() {
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for the reverse-engineering context (results are identical for any value)")
 		grid     = flag.Bool("grid", false, "run the timing grid (worker counts, shard factors and searchers) instead of the experiments")
 		repeats  = flag.Int("repeats", 3, "repetitions per grid cell (with -grid)")
-		gridOut  = flag.String("grid-out", "BENCH_9.json", "grid report output path (with -grid; '-' for stdout)")
+		gridOut  = flag.String("grid-out", "BENCH_10.json", "grid report output path (with -grid; '-' for stdout)")
 		gridCSV  = flag.String("csv", "", "also export every individual grid run as CSV to this path (with -grid)")
 		gridClu  = flag.Bool("grid-cluster", false, "include the coordinator straggler scenario (work queue with stealing off vs on, one slow peer) in the grid")
 		shardFac = flag.Int("shard-factor", 0, "shard-group granularity multiplier for the experiment runs: 0 auto-sizes (results are identical for a fixed value)")

@@ -82,6 +82,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "revnic: %d executed blocks (%d translated), %d forks, %d loop-kills; wiretap: %s\n",
 			exp.ExecutedBlocks, exp.TranslatedBlocks, exp.ForkCount,
 			exp.KilledLoops, exp.Collector.Summary())
+		fmt.Fprintf(os.Stderr, "revnic: SAT search: %d decisions, %d conflicts\n",
+			exp.SATDecisions, exp.SATConflicts)
 		// The CLI explores in the process-global default arena (one
 		// run, one process); revnicd uses a private expr.Arena per job
 		// instead, so this count stays flat there.

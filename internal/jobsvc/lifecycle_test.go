@@ -11,8 +11,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"revnic/internal/symexec"
 )
 
 // longSpec is a job whose budgets would sustain exploration for hours:
@@ -98,12 +101,29 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestCancelRunningJob: cancelling mid-exploration winds the job down
 // to a partial-but-well-formed result within 2 seconds.
 func TestCancelRunningJob(t *testing.T) {
+	// Cancel only once exploration has made progress: the first phase
+	// fans out to shard groups after its serial spread has executed
+	// blocks, so a runner that signals on its first dispatch (and runs
+	// every task in process, as the fork-join would) marks the point.
+	// Cancelling as soon as the job reads running could land before
+	// the first block.
+	progressed := make(chan struct{})
+	old := runSpecHook
+	runSpecHook = func(spec JobSpec, stop <-chan struct{}, deadline time.Time, _ symexec.ShardRunner) (*JobResult, error) {
+		return runSpec(spec, stop, deadline, &progressRunner{progressed: progressed})
+	}
+	defer func() { runSpecHook = old }()
 	svc := New(Config{Pool: 1})
 	j, err := svc.Submit(longSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, svc, j.ID)
+	select {
+	case <-progressed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("exploration never reached its first fan-out")
+	}
 	cancelledAt := time.Now()
 	if _, err := svc.Cancel(j.ID); err != nil {
 		t.Fatal(err)
@@ -132,6 +152,26 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("re-cancel: %v %s", err, again.Status)
 	}
 	drainWithin(t, svc, 30*time.Second)
+}
+
+// progressRunner runs shard tasks in process, in order, and closes
+// progressed on its first dispatch.
+type progressRunner struct {
+	progressed chan struct{}
+	once       sync.Once
+}
+
+func (r *progressRunner) RunShards(tasks []*symexec.ShardTask, local func(*symexec.ShardTask) (*symexec.ShardResult, error)) ([]*symexec.ShardResult, error) {
+	r.once.Do(func() { close(r.progressed) })
+	out := make([]*symexec.ShardResult, len(tasks))
+	for i, task := range tasks {
+		res, err := local(task)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
 // TestDeadlineMS: a per-job deadline finishes the job as status

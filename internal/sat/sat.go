@@ -11,13 +11,29 @@
 // learnt-clause deletion policy (SetLearntCap) bounds the database so
 // session memory stays flat over arbitrarily many queries.
 //
-// Branching takes the unassigned variable of highest activity from a
-// binary order heap, as MiniSat does, so a decision costs O(log n) in
-// the number of variables rather than a scan over all of them. The
-// heap breaks activity ties by the lower variable index. That order is
-// part of the contract: it is the pick of a plain scan for the maximum,
-// so decisions, learnt clauses, models and the Stats counters depend
-// only on the clauses, scopes and queries a caller issues.
+// Branching takes the unassigned decision variable of highest activity
+// from a binary order heap, as MiniSat does, so a decision costs
+// O(log n) in the number of decision variables rather than a scan over
+// all of them. The heap breaks activity ties by the lower variable
+// index. That order is part of the contract: it is the pick of a plain
+// scan for the maximum, so decisions, learnt clauses, models and the
+// Stats counters depend only on the clauses, scopes and queries a
+// caller issues.
+//
+// Not every variable is branched on. NewGateVar creates a variable that
+// never enters the order heap (MiniSat's setDecisionVar(v, false)): the
+// caller promises that clauses define it from other variables, so unit
+// propagation assigns it once they are assigned. The bit-blaster makes
+// every Tseitin gate output such a variable, so a query decides only
+// its symbolic input bits, and a search that finds every decision
+// variable assigned without conflict still ends in a complete model.
+//
+// Clauses live in one flat literal arena addressed by int32 clause
+// references (MiniSat's ClauseAllocator): watch lists, reasons and the
+// clause lists hold references, not pointers, so the garbage collector
+// has nothing to scan in them. Learnt-clause deletion leaves its
+// literals behind as waste; once waste passes half the arena, the
+// arena is compacted and every reference rewritten in place.
 package sat
 
 import "sort"
@@ -50,9 +66,17 @@ const (
 	lFalse lbool = -1
 )
 
+// cref addresses a clause: an index into Solver.ca.
+type cref int32
+
+// noClause is the null clause reference: the reason of a decision, an
+// assumption or a unit, and propagate's "no conflict".
+const noClause cref = -1
+
+// clause is a clause header; its literals are arena[start:start+n].
 type clause struct {
-	lits   []Lit
-	learnt bool
+	start, n int32
+	learnt   bool
 	// act is the VSIDS-style clause activity: bumped whenever the
 	// clause participates in conflict analysis, decayed geometrically.
 	// Learnt-clause deletion discards the least active half when the
@@ -61,31 +85,41 @@ type clause struct {
 }
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
-
-const noReason = -1
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // instances with New.
 type Solver struct {
-	clauses []*clause
-	learnts []*clause
+	// arena holds the literals of every clause; ca holds the headers,
+	// addressed by cref. wasted counts arena literals of deleted
+	// clauses, reclaimed by compact.
+	arena   []Lit
+	ca      []clause
+	wasted  int
+	clauses []cref
+	learnts []cref
 	watches [][]watcher // indexed by literal
+	// addBuf and scopeBuf are AddClause's and AddScoped's scratch;
+	// learntBuf is analyze's. Clauses are copied into the arena, so
+	// none of them is retained.
+	addBuf, scopeBuf, learntBuf []Lit
 
 	assigns  []lbool
 	polarity []bool // saved phases
+	decision []bool // false for gate variables (NewGateVar)
 	level    []int
-	reason   []*clause
+	reason   []cref
 	activity []float64
 	varInc   float64
 
-	// order is a binary heap of variables keyed on (activity desc,
-	// index asc); heapPos[v] is v's slot in it, or -1. It holds every
-	// unassigned variable and possibly some assigned ones, which
-	// pickBranchVar discards lazily. int32 suffices: a Lit holds a
-	// variable index in 31 bits.
+	// order is a binary heap of decision variables keyed on (activity
+	// desc, index asc); heapPos[v] is v's slot in it, or -1. It holds
+	// every unassigned decision variable and possibly some assigned
+	// ones, which pickBranchVar discards lazily; gate variables never
+	// enter it. int32 suffices: a Lit holds a variable index in 31
+	// bits.
 	order   []int32
 	heapPos []int32
 	// onPick, when set, observes every branching pick (tests only).
@@ -176,23 +210,42 @@ func (s *Solver) NumLearnts() int { return len(s.learnts) }
 // deletion has discarded.
 func (s *Solver) DeletedLearnts() int64 { return s.deleted }
 
-// NewVar introduces a fresh variable and returns its index.
+// NewVar introduces a fresh decision variable and returns its index.
 func (s *Solver) NewVar() int {
+	v := s.newVar(true)
+	s.heapInsert(v)
+	return v
+}
+
+// NewGateVar introduces a fresh variable the search never branches on
+// and returns its index. The caller must define it by clauses over
+// other variables, so that unit propagation assigns it whenever every
+// decision variable is assigned — as a Tseitin gate output is: Solve
+// and SolveUnder report SAT as soon as no decision variable is left
+// unassigned.
+func (s *Solver) NewGateVar() int { return s.newVar(false) }
+
+func (s *Solver) newVar(decision bool) int {
 	v := len(s.assigns)
 	s.assigns = append(s.assigns, lUndef)
 	s.polarity = append(s.polarity, false)
+	s.decision = append(s.decision, decision)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.activity = append(s.activity, 0)
 	s.heapPos = append(s.heapPos, -1)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
-	s.heapInsert(v)
 	return v
 }
 
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
+
+// NumAssigned returns the number of variables the current assignment
+// gives a value. After a successful Solve or SolveUnder it equals
+// NumVars: the model is complete, gate variables included.
+func (s *Solver) NumAssigned() int { return len(s.trail) }
 
 // Unsat reports whether a top-level conflict has already been
 // derived: the formula is unsatisfiable regardless of any further
@@ -225,7 +278,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0)
 	// Sort-free simplification: drop false/duplicate literals, detect
 	// tautologies and already-satisfied clauses.
-	out := lits[:0:0]
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -249,21 +302,20 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out // keep the grown buffer; attach copies out
 	switch len(out) {
 	case 0:
 		s.unsat = true
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], noClause)
+		if s.propagate() != noClause {
 			s.unsat = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
+	s.clauses = append(s.clauses, s.attach(out, false))
 	return true
 }
 
@@ -311,15 +363,30 @@ func (s *Solver) AddScoped(lits ...Lit) bool {
 		return s.AddClause(lits...)
 	}
 	sel := s.scopes[len(s.scopes)-1]
-	return s.AddClause(append(append(make([]Lit, 0, len(lits)+1), lits...), Neg(sel))...)
+	s.scopeBuf = append(append(s.scopeBuf[:0], lits...), Neg(sel))
+	return s.AddClause(s.scopeBuf...)
 }
 
-func (s *Solver) watchClause(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+// lits returns the literals of clause c. The slice aliases the arena:
+// it is valid until the next clause is allocated or the arena is
+// compacted.
+func (s *Solver) lits(c cref) []Lit {
+	h := &s.ca[c]
+	return s.arena[h.start : h.start+h.n : h.start+h.n]
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+// attach copies lits (at least two) into the arena as a new clause,
+// watches its first two literals and returns its reference.
+func (s *Solver) attach(lits []Lit, learnt bool) cref {
+	c := cref(len(s.ca))
+	s.ca = append(s.ca, clause{start: int32(len(s.arena)), n: int32(len(lits)), learnt: learnt})
+	s.arena = append(s.arena, lits...)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
+	return c
+}
+
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Sign() {
 		s.assigns[v] = lFalse
@@ -332,17 +399,17 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting
-// clause, or nil if no conflict arises.
-func (s *Solver) propagate() *clause {
+// clause, or noClause if no conflict arises.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var conflict *clause
+		conflict := noClause
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if conflict != nil {
+			if conflict != noClause {
 				kept = append(kept, w)
 				continue
 			}
@@ -351,21 +418,22 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
+			lits := s.lits(c)
 			// Normalize so lits[0] is the other watched literal.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// Find a new literal to watch.
 			moved := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					moved = true
 					break
 				}
@@ -383,11 +451,11 @@ func (s *Solver) propagate() *clause {
 			}
 		}
 		s.watches[p] = kept
-		if conflict != nil {
+		if conflict != noClause {
 			return conflict
 		}
 	}
-	return nil
+	return noClause
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -415,7 +483,7 @@ func (s *Solver) before(a, b int32) bool {
 }
 
 func (s *Solver) heapInsert(v int) {
-	if s.heapPos[v] >= 0 {
+	if s.heapPos[v] >= 0 || !s.decision[v] {
 		return
 	}
 	s.heapPos[v] = int32(len(s.order))
@@ -481,11 +549,12 @@ func (s *Solver) heapify() {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	h := &s.ca[c]
+	h.act += s.claInc
+	if h.act > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.ca[l].act *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -493,13 +562,15 @@ func (s *Solver) bumpClause(c *clause) {
 
 // locked reports whether c is the reason of a current assignment and
 // therefore must survive deletion.
-func (s *Solver) locked(c *clause) bool {
-	return s.value(c.lits[0]) == lTrue && s.reason[c.lits[0].Var()] == c
+func (s *Solver) locked(c cref) bool {
+	first := s.arena[s.ca[c].start]
+	return s.value(first) == lTrue && s.reason[first.Var()] == c
 }
 
 // detachClause removes c's two watchers.
-func (s *Solver) detachClause(c *clause) {
-	for _, wl := range [2]Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detachClause(c cref) {
+	lits := s.lits(c)
+	for _, wl := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[wl]
 		for i := range ws {
 			if ws[i].c == c {
@@ -520,16 +591,16 @@ func (s *Solver) maybeReduce() {
 	if s.learntCap <= 0 || len(s.learnts) <= s.learntCap {
 		return
 	}
-	byAct := make([]*clause, len(s.learnts))
+	byAct := make([]cref, len(s.learnts))
 	copy(byAct, s.learnts)
-	sort.SliceStable(byAct, func(i, j int) bool { return byAct[i].act < byAct[j].act })
+	sort.SliceStable(byAct, func(i, j int) bool { return s.ca[byAct[i]].act < s.ca[byAct[j]].act })
 	goal := len(s.learnts) - s.learntCap/2
-	doomed := make(map[*clause]bool, goal)
+	doomed := make(map[cref]bool, goal)
 	for _, c := range byAct {
 		if len(doomed) >= goal {
 			break
 		}
-		if len(c.lits) <= 2 || s.locked(c) {
+		if s.ca[c].n <= 2 || s.locked(c) {
 			continue
 		}
 		doomed[c] = true
@@ -541,18 +612,60 @@ func (s *Solver) maybeReduce() {
 	for _, c := range s.learnts {
 		if doomed[c] {
 			s.detachClause(c)
+			s.wasted += int(s.ca[c].n)
 		} else {
 			kept = append(kept, c)
 		}
 	}
 	s.learnts = kept
 	s.deleted += int64(len(doomed))
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact rebuilds the arena and the header table from the live
+// clauses, after MiniSat's garbageCollect, and rewrites every
+// reference: clause lists, reasons and watchers. Watch lists keep
+// their order and clauses their literal order, so compaction never
+// changes the search.
+func (s *Solver) compact() {
+	moved := make([]cref, len(s.ca))
+	for i := range moved {
+		moved[i] = noClause
+	}
+	arena := make([]Lit, 0, len(s.arena)-s.wasted)
+	ca := make([]clause, 0, len(s.clauses)+len(s.learnts))
+	for _, list := range [2][]cref{s.clauses, s.learnts} {
+		for i, c := range list {
+			h := s.ca[c]
+			moved[c] = cref(len(ca))
+			list[i] = moved[c]
+			arena = append(arena, s.arena[h.start:h.start+h.n]...)
+			h.start = int32(len(arena)) - h.n
+			ca = append(ca, h)
+		}
+	}
+	// Reasons and watchers name live clauses only: deletion spares
+	// locked clauses (current reasons) and detaches the rest.
+	for v, r := range s.reason {
+		if r != noClause {
+			s.reason[v] = moved[r]
+		}
+	}
+	for l := range s.watches {
+		for i := range s.watches[l] {
+			s.watches[l][i].c = moved[s.watches[l][i].c]
+		}
+	}
+	s.arena, s.ca, s.wasted = arena, ca, 0
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in a scratch buffer valid until the next analyze.
+func (s *Solver) analyze(conflict cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit
 	haveP := false
@@ -560,14 +673,14 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	c := conflict
 
 	for {
-		if c.learnt {
+		if s.ca[c].learnt {
 			s.bumpClause(c)
 		}
 		start := 0
 		if haveP {
 			start = 1 // lits[0] is p itself
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -615,7 +728,19 @@ func (s *Solver) analyze(conflict *clause) ([]Lit, int) {
 	}
 	s.varInc *= 1.05
 	s.claInc *= 1.001
+	s.learntBuf = learnt
 	return learnt, btLevel
+}
+
+// learn records a learnt clause of at least two literals and returns
+// its reference.
+func (s *Solver) learn(lits []Lit) cref {
+	c := s.attach(lits, true)
+	s.learnts = append(s.learnts, c)
+	// Bump after appending so a rescale triggered by the bump scales
+	// this clause along with the rest.
+	s.bumpClause(c)
+	return c
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -627,7 +752,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		s.heapInsert(v)
 	}
 	s.trail = s.trail[:bound]
@@ -635,10 +760,10 @@ func (s *Solver) cancelUntil(lvl int) {
 	s.qhead = len(s.trail)
 }
 
-// pickBranchVar returns the unassigned variable with the highest
-// activity, the lowest index among equals, or -1 if all variables are
-// assigned. It takes the variable off the order heap; cancelUntil puts
-// it back when the decision is undone.
+// pickBranchVar returns the unassigned decision variable with the
+// highest activity, the lowest index among equals, or -1 if all
+// decision variables are assigned. It takes the variable off the order
+// heap; cancelUntil puts it back when the decision is undone.
 func (s *Solver) pickBranchVar() int {
 	v := -1
 	for len(s.order) > 0 {
@@ -667,7 +792,7 @@ func (s *Solver) Solve() bool {
 		return false
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noClause {
 		s.unsat = true
 		return false
 	}
@@ -680,7 +805,7 @@ func (s *Solver) Solve() bool {
 			return false
 		}
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noClause {
 			s.conflicts++
 			if s.decisionLevel() == 0 {
 				s.unsat = true
@@ -689,15 +814,9 @@ func (s *Solver) Solve() bool {
 			learnt, btLevel := s.analyze(conflict)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				// Bump after appending so a rescale triggered by the
-				// bump scales this clause along with the rest.
-				s.bumpClause(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				s.uncheckedEnqueue(learnt[0], s.learn(learnt))
 			}
 			s.maybeReduce()
 			if s.conflicts-conflictsAtRestart >= restartLimit {
@@ -717,7 +836,7 @@ func (s *Solver) Solve() bool {
 		if !s.polarity[v] {
 			l = Neg(v)
 		}
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, noClause)
 	}
 }
 
@@ -739,7 +858,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 		assumptions = append(all, assumptions...)
 	}
 	s.cancelUntil(0)
-	if s.propagate() != nil {
+	if s.propagate() != noClause {
 		s.unsat = true
 		return false
 	}
@@ -752,8 +871,8 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			return false
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(a, nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(a, noClause)
+		if s.propagate() != noClause {
 			s.cancelUntil(0)
 			return false
 		}
@@ -768,7 +887,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			return false
 		}
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noClause {
 			s.conflicts++
 			if s.decisionLevel() <= assumptionLevel {
 				s.cancelUntil(0)
@@ -789,10 +908,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 				// Already satisfied at or below the assumption level;
 				// record the clause and keep searching.
 				if len(learnt) > 1 {
-					c := &clause{lits: learnt, learnt: true}
-					s.learnts = append(s.learnts, c)
-					s.watchClause(c)
-					s.bumpClause(c)
+					s.learn(learnt)
 					s.maybeReduce()
 				}
 				continue
@@ -800,15 +916,9 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 			if len(learnt) == 1 {
 				// Unit: permanent at level 0, otherwise implied for
 				// the remainder of this assumption query.
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				// Bump after appending so a rescale triggered by the
-				// bump scales this clause along with the rest.
-				s.bumpClause(c)
-				s.uncheckedEnqueue(learnt[0], c)
+				s.uncheckedEnqueue(learnt[0], s.learn(learnt))
 			}
 			s.maybeReduce()
 			if s.conflicts-conflictsAtRestart >= restartLimit {
@@ -828,7 +938,7 @@ func (s *Solver) SolveUnder(assumptions ...Lit) bool {
 		if !s.polarity[v] {
 			l = Neg(v)
 		}
-		s.uncheckedEnqueue(l, nil)
+		s.uncheckedEnqueue(l, noClause)
 	}
 }
 

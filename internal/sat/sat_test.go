@@ -322,6 +322,61 @@ func TestLearntDeletionBoundsDatabase(t *testing.T) {
 	if capped.DeletedLearnts() == 0 {
 		t.Error("expected activity-based deletion to fire on a conflict-heavy instance")
 	}
+	checkArena(t, capped)
+
+	// A long session under a small cap deletes learnt clauses again and
+	// again; the arena must be compacted rather than grow with them.
+	s := New()
+	s.SetLearntCap(20)
+	compacted := false
+	for round := int64(0); round < 8; round++ {
+		runSession(gates{s: s, gate: true}, round, 20, 6, 8, nil)
+		checkArena(t, s)
+		if len(s.ca) < len(s.clauses)+len(s.learnts)+int(s.deleted) {
+			compacted = true
+		}
+	}
+	if !compacted {
+		t.Errorf("no arena compaction in %d learnt-clause deletions", s.deleted)
+	}
+}
+
+// TestCompactionKeepsTrajectory pins a run whose learnt-clause
+// deletions trigger arena compaction to the counters the
+// pointer-per-clause store produced: relocating clauses must not move
+// the search.
+func TestCompactionKeepsTrajectory(t *testing.T) {
+	s := New()
+	s.SetLearntCap(50)
+	pigeonhole(s, 7, 6)
+	if s.Solve() {
+		t.Fatal("PHP(7,6) must be UNSAT")
+	}
+	if len(s.ca) == len(s.clauses)+len(s.learnts)+int(s.deleted) {
+		t.Fatalf("no compaction in %d deletions", s.deleted)
+	}
+	checkStats(t, s, 1785, 1374)
+}
+
+// checkArena asserts that deleted clauses waste at most half the clause
+// arena: its length stays within twice the live literals, and the
+// header table within the live clauses plus a third of the live
+// literals (a deleted clause has at least three).
+func checkArena(t *testing.T, s *Solver) {
+	t.Helper()
+	live, n := 0, 0
+	for _, list := range [][]cref{s.clauses, s.learnts} {
+		for _, c := range list {
+			live += int(s.ca[c].n)
+			n++
+		}
+	}
+	if len(s.arena) != live+s.wasted {
+		t.Fatalf("arena holds %d literals: %d live, %d wasted", len(s.arena), live, s.wasted)
+	}
+	if len(s.arena) > 2*live || len(s.ca) > n+live/3 {
+		t.Errorf("arena of %d literals and %d headers for %d live literals in %d clauses", len(s.arena), len(s.ca), live, n)
+	}
 }
 
 func TestLearntDeletionPreservesAnswers(t *testing.T) {
@@ -652,12 +707,12 @@ func TestSessionTrajectory(t *testing.T) {
 }
 
 // scanPick is the linear scan the order heap replaced, kept as the
-// reference: the unassigned variable of highest activity, the first
-// among equals.
+// reference: the unassigned decision variable of highest activity, the
+// first among equals.
 func scanPick(s *Solver) int {
 	best, bestAct := -1, -1.0
 	for v := range s.assigns {
-		if s.assigns[v] == lUndef && s.activity[v] > bestAct {
+		if s.decision[v] && s.assigns[v] == lUndef && s.activity[v] > bestAct {
 			best, bestAct = v, s.activity[v]
 		}
 	}
@@ -665,33 +720,41 @@ func scanPick(s *Solver) int {
 }
 
 // checkHeap verifies the order heap: positions match entries, no entry
-// branches ahead of its parent, and every unassigned variable except
-// skip is queued.
+// branches ahead of its parent, no gate variable is queued, and every
+// unassigned decision variable except skip is.
 func checkHeap(t *testing.T, s *Solver, skip int) {
 	t.Helper()
-	if len(s.heapPos) != s.NumVars() {
-		t.Fatalf("%d heap positions for %d variables", len(s.heapPos), s.NumVars())
+	if len(s.heapPos) != s.NumVars() || len(s.decision) != s.NumVars() {
+		t.Fatalf("%d heap positions and %d decision flags for %d variables",
+			len(s.heapPos), len(s.decision), s.NumVars())
 	}
 	for i, v := range s.order {
 		if s.heapPos[v] != int32(i) {
 			t.Fatalf("heap slot %d holds var %d, whose position is %d", i, v, s.heapPos[v])
+		}
+		if !s.decision[v] {
+			t.Fatalf("heap slot %d holds gate var %d", i, v)
 		}
 		if i > 0 && s.before(v, s.order[(i-1)/2]) {
 			t.Fatalf("heap order broken at slot %d (var %d)", i, v)
 		}
 	}
 	for v, p := range s.heapPos {
-		if p < 0 && v != skip && s.assigns[v] == lUndef {
-			t.Fatalf("unassigned var %d missing from the heap", v)
+		if p < 0 && v != skip && s.decision[v] && s.assigns[v] == lUndef {
+			t.Fatalf("unassigned decision var %d missing from the heap", v)
 		}
 	}
 }
 
 // checkPicks makes every decision of s assert that the heap picked what
-// the reference scan picks. It returns a counter of checked decisions.
+// the reference scan picks, and never a gate variable. It returns a
+// counter of checked decisions.
 func checkPicks(t *testing.T, s *Solver) *int {
 	n := new(int)
 	s.onPick = func(v int) {
+		if v >= 0 && !s.decision[v] {
+			t.Fatalf("picked gate var %d", v)
+		}
 		if want := scanPick(s); v != want {
 			t.Fatalf("heap picked var %d, scan picks %d", v, want)
 		}
@@ -702,7 +765,8 @@ func checkPicks(t *testing.T, s *Solver) *int {
 }
 
 // randomSession applies ops random operations to s: clauses, scopes,
-// assumption queries and fresh variables, checking the heap after each.
+// assumption queries and fresh decision and gate variables, checking
+// the heap after each.
 func randomSession(t *testing.T, s *Solver, r *rand.Rand, ops int) {
 	lit := func() Lit {
 		l := Pos(r.Intn(s.NumVars()))
@@ -731,7 +795,13 @@ func randomSession(t *testing.T, s *Solver, r *rand.Rand, ops int) {
 				s.Pop()
 			}
 		case k == 7:
-			s.NewVar()
+			// Gate variables here are left undefined, so answers are not
+			// checked; only the heap invariants are.
+			if r.Intn(2) == 0 {
+				s.NewVar()
+			} else {
+				s.NewGateVar()
+			}
 		case k == 8:
 			s.Solve()
 		default:

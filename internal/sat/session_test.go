@@ -1,17 +1,31 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // gates emits Tseitin gate clauses the way the bit-blaster does: every
 // gate output is a fresh variable defined by permanent clauses, so a
-// long-lived session accumulates variables across scopes.
-type gates struct{ s *Solver }
+// long-lived session accumulates variables across scopes. With gate set,
+// outputs are gate variables (NewGateVar), as the bit-blaster makes
+// them; without, they are decision variables, the shape the trajectory
+// pins were recorded with.
+type gates struct {
+	s    *Solver
+	gate bool
+}
+
+func (g gates) fresh() Lit {
+	if g.gate {
+		return Pos(g.s.NewGateVar())
+	}
+	return Pos(g.s.NewVar())
+}
 
 func (g gates) and(x, y Lit) Lit {
-	out := Pos(g.s.NewVar())
+	out := g.fresh()
 	g.s.AddClause(out.Not(), x)
 	g.s.AddClause(out.Not(), y)
 	g.s.AddClause(out, x.Not(), y.Not())
@@ -21,7 +35,7 @@ func (g gates) and(x, y Lit) Lit {
 func (g gates) or(x, y Lit) Lit { return g.and(x.Not(), y.Not()).Not() }
 
 func (g gates) xor(x, y Lit) Lit {
-	out := Pos(g.s.NewVar())
+	out := g.fresh()
 	g.s.AddClause(out.Not(), x, y)
 	g.s.AddClause(out.Not(), x.Not(), y.Not())
 	g.s.AddClause(out, x.Not(), y)
@@ -63,8 +77,15 @@ func (g gates) eq(x, y []Lit) Lit {
 // thousands of variables over a run. It returns how many queries were
 // satisfiable and an FNV-1a digest of the symbol bits of every model.
 func sessionScopes(s *Solver, seed int64, queries, symbols, width int) (sat int, models uint64) {
+	return runSession(gates{s: s}, seed, queries, symbols, width, nil)
+}
+
+// runSession is sessionScopes over the given gate builder; onSat, when
+// set, is called with the query index while each satisfying
+// assignment is still in place.
+func runSession(g gates, seed int64, queries, symbols, width int, onSat func(q int)) (sat int, models uint64) {
+	s := g.s
 	r := rand.New(rand.NewSource(seed))
-	g := gates{s}
 	syms := make([][]Lit, symbols)
 	for i := range syms {
 		syms[i] = make([]Lit, width)
@@ -89,6 +110,9 @@ func sessionScopes(s *Solver, seed int64, queries, symbols, width int) (sat int,
 		}
 		if s.SolveUnder(cond) {
 			sat++
+			if onSat != nil {
+				onSat(q)
+			}
 			for _, sym := range syms {
 				for _, l := range sym {
 					models ^= uint64(l.Var()) << 1
@@ -122,4 +146,60 @@ func BenchmarkSessionScopes(b *testing.B) {
 	}
 	b.ReportMetric(float64(decisions)/float64(b.N), "decisions/op")
 	b.ReportMetric(float64(vars)/float64(b.N), "vars/op")
+}
+
+// checkModel asserts that the current assignment is a complete model:
+// every variable, gate variables included, has a value, and every
+// problem and learnt clause has a true literal.
+func checkModel(t *testing.T, s *Solver) {
+	t.Helper()
+	if n := s.NumAssigned(); n != s.NumVars() {
+		t.Fatalf("model assigns %d of %d variables", n, s.NumVars())
+	}
+	for _, list := range [][]cref{s.clauses, s.learnts} {
+		for _, c := range list {
+			sat := false
+			for _, l := range s.lits(c) {
+				if s.value(l) == lTrue {
+					sat = true
+					break
+				}
+			}
+			if !sat {
+				t.Fatalf("model falsifies clause %v", s.lits(c))
+			}
+		}
+	}
+}
+
+// TestGateVarSessions runs sessions whose gate outputs are gate
+// variables: the search never branches on them, every SAT answer is
+// still a complete model, and the answers match the same session with
+// every variable a decision variable.
+func TestGateVarSessions(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		var want []int
+		runSession(gates{s: New()}, seed, 40, 6, 8, func(q int) { want = append(want, q) })
+
+		s := New()
+		s.SetLearntCap(int(10 * seed))
+		checkPicks(t, s)
+		var got []int
+		runSession(gates{s: s, gate: true}, seed, 40, 6, 8, func(q int) {
+			checkModel(t, s)
+			got = append(got, q)
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("seed %d: SAT queries %v with gate variables, %v without", seed, got, want)
+		}
+		gatesN := 0
+		for _, d := range s.decision {
+			if !d {
+				gatesN++
+			}
+		}
+		if gatesN == 0 || len(s.order) > s.NumVars()-gatesN {
+			t.Fatalf("seed %d: %d gate variables, %d heap entries for %d variables", seed, gatesN, len(s.order), s.NumVars())
+		}
+	}
 }

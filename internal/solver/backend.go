@@ -47,6 +47,9 @@ func (v Verdict) String() string {
 //     conjunction alone.
 //   - Model, valid only immediately after a VSat verdict, returns a
 //     satisfying assignment as a fresh name→value map.
+//   - SATStats reports the SAT search work (decisions, conflicts) the
+//     instance has done over its lifetime; a backend without a SAT
+//     search reports zeros.
 //
 // A backend is built with the cooperative abort hook it polls during
 // solving (nil for none); an aborted query answers VUnknown.
@@ -59,6 +62,7 @@ type Backend interface {
 	Pop()
 	SolveUnder(cond *expr.Expr) Verdict
 	Model() map[string]uint32
+	SATStats() (decisions, conflicts int64)
 }
 
 // coreBackend adapts the bit-blaster + CDCL SAT core to the Backend
@@ -107,3 +111,5 @@ func (c *coreBackend) SolveUnder(cond *expr.Expr) Verdict {
 }
 
 func (c *coreBackend) Model() map[string]uint32 { return c.b.model() }
+
+func (c *coreBackend) SATStats() (decisions, conflicts int64) { return c.b.s.Stats() }

@@ -65,7 +65,12 @@ func (b *blaster) isConst(l sat.Lit) (bool, bool) {
 	return false, false
 }
 
-func (b *blaster) fresh() sat.Lit { return sat.Pos(b.s.NewVar()) }
+// fresh returns the output literal of a new gate. Every caller defines
+// it completely by the gate's Tseitin clauses, so it is a SAT gate
+// variable: the search never branches on it, and propagation assigns it
+// once the gate's inputs are assigned. Only symbol bits, true_ and
+// scope selectors are decision variables.
+func (b *blaster) fresh() sat.Lit { return sat.Pos(b.s.NewGateVar()) }
 
 // gateAnd returns a literal equivalent to x ∧ y.
 func (b *blaster) gateAnd(x, y sat.Lit) sat.Lit {
@@ -239,7 +244,7 @@ func (b *blaster) blastUncached(e *expr.Expr) []sat.Lit {
 		}
 		bits := make([]sat.Lit, w)
 		for i := range bits {
-			bits[i] = b.fresh()
+			bits[i] = sat.Pos(b.s.NewVar())
 		}
 		b.syms[e.Name] = bits
 		return bits

@@ -50,6 +50,9 @@ func (d *smallDomain) Pop() {
 
 func (d *smallDomain) Model() map[string]uint32 { return copyModel(d.model) }
 
+// SATStats reports zeros: enumeration does no SAT search.
+func (d *smallDomain) SATStats() (decisions, conflicts int64) { return 0, 0 }
+
 func (d *smallDomain) SolveUnder(cond *expr.Expr) Verdict {
 	cons := d.stack
 	if cond != nil && !cond.IsTrue() {

@@ -118,6 +118,10 @@ type Solver struct {
 	evictions atomic.Int64
 	extended  atomic.Int64
 	rebuilt   atomic.Int64
+	// satDecisions and satConflicts sum the SAT search work of every
+	// backend solve, session and one-shot alike.
+	satDecisions atomic.Int64
+	satConflicts atomic.Int64
 }
 
 // session is the incremental backend context for one constraint
@@ -171,6 +175,25 @@ func (s *Solver) Stats() (queries, cacheHits int64) {
 // counterexample machinery instead of solving: exact model-cache
 // hits, indexed-model re-evaluation, and UNSAT-set subsumption.
 func (s *Solver) ModelHits() int64 { return s.modelHits.Load() }
+
+// SATStats returns the SAT decisions and conflicts summed over every
+// backend solve this solver ran: incremental session queries and
+// one-shot solves alike. Like the query counters they depend only on
+// the queries asked, so they are deterministic for a fixed schedule.
+func (s *Solver) SATStats() (decisions, conflicts int64) {
+	return s.satDecisions.Load(), s.satConflicts.Load()
+}
+
+// solveCounted runs b.SolveUnder(cond) and adds the SAT work it did to
+// the solver's counters.
+func (s *Solver) solveCounted(b Backend, cond *expr.Expr) Verdict {
+	d0, c0 := b.SATStats()
+	v := b.SolveUnder(cond)
+	d1, c1 := b.SATStats()
+	s.satDecisions.Add(d1 - d0)
+	s.satConflicts.Add(c1 - c0)
+	return v
+}
 
 // Sessions reports the incremental solver's session reuse: extended
 // counts queries served by the running backend session (synchronized
@@ -248,7 +271,7 @@ func (s *Solver) solveOneShot(fp, sig uint64, live []*expr.Expr) (map[string]uin
 	for _, c := range live {
 		b.Assert(c)
 	}
-	switch b.SolveUnder(nil) {
+	switch s.solveCounted(b, nil) {
 	case VSat:
 		m := b.Model()
 		s.cachePut(fp, true)
@@ -336,7 +359,7 @@ func (s *Solver) solveSession(prefix []*expr.Expr, cond *expr.Expr) (Verdict, ma
 		sess.b.Assert(c)
 		sess.ids = append(sess.ids, c.ID())
 	}
-	v := sess.b.SolveUnder(cond)
+	v := s.solveCounted(sess.b, cond)
 	if v == VSat {
 		return v, sess.b.Model()
 	}

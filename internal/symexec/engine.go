@@ -206,6 +206,11 @@ type Result struct {
 	SolverQueries   int64
 	SolverCacheHits int64
 	SolverModelHits int64
+	// SATDecisions and SATConflicts sum the SAT search work behind
+	// the solved queries (sessions and one-shots), merged the same
+	// way. Like the query counters they are fixed by the schedule.
+	SATDecisions int64
+	SATConflicts int64
 	// TranslatedBlocks is the number of distinct translation-cache
 	// entries built (ir.Cache misses).
 	TranslatedBlocks int64
@@ -251,12 +256,14 @@ type Engine struct {
 	coverage []CoveragePoint
 	lastCov  int
 
-	// childQueries/childHits/childModelHits accumulate the solver
-	// statistics of merged worker children (each child has its own
-	// solver; the join folds its counters here).
-	childQueries   int64
-	childHits      int64
-	childModelHits int64
+	// childQueries/childHits/childModelHits and the SAT counters
+	// accumulate the solver statistics of merged worker children (each
+	// child has its own solver; the join folds its counters here).
+	childQueries      int64
+	childHits         int64
+	childModelHits    int64
+	childSATDecisions int64
+	childSATConflicts int64
 
 	// symPrefix namespaces fresh symbols minted by a worker child so
 	// they can never collide with symbols already present in the seed

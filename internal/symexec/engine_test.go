@@ -51,6 +51,13 @@ func TestMemoryCOW(t *testing.T) {
 
 func exploreDriver(t *testing.T, name string, cfg Config) *Result {
 	t.Helper()
+	_, res := exploreEngine(t, name, cfg)
+	return res
+}
+
+// exploreEngine is exploreDriver that also returns the root engine.
+func exploreEngine(t *testing.T, name string, cfg Config) (*Engine, *Result) {
+	t.Helper()
 	info, err := drivers.ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +69,7 @@ func exploreDriver(t *testing.T, name string, cfg Config) *Result {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return res
+	return eng, res
 }
 
 func TestExploreRTL8029(t *testing.T) {

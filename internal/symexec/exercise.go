@@ -239,6 +239,7 @@ func (e *Engine) Explore() (*Result, error) {
 // phases' traces match an uncancelled run's bit for bit.
 func (e *Engine) buildResult(initFailed bool) *Result {
 	queries, hits := e.sol.Stats()
+	decisions, conflicts := e.sol.SATStats()
 	return &Result{
 		InitFailed:       initFailed,
 		Collector:        e.col,
@@ -252,6 +253,8 @@ func (e *Engine) buildResult(initFailed bool) *Result {
 		SolverQueries:    queries + e.childQueries,
 		SolverCacheHits:  hits + e.childHits,
 		SolverModelHits:  e.sol.ModelHits() + e.childModelHits,
+		SATDecisions:     decisions + e.childSATDecisions,
+		SATConflicts:     conflicts + e.childSATConflicts,
 		TranslatedBlocks: e.cache.Misses(),
 		ShardsEffective:  e.shardsEff,
 		ShardCollapses:   e.shardCollapses,

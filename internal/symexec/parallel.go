@@ -236,6 +236,8 @@ type shardOutcome struct {
 	queries   int64
 	hits      int64
 	modelHits int64
+	decisions int64
+	conflicts int64
 	col       *trace.Collector
 	dma       hw.DMARegistry
 	entries   guestos.EntryPoints
@@ -247,6 +249,7 @@ type shardOutcome struct {
 // child engine.
 func childOutcome(c *Engine) *shardOutcome {
 	q, h := c.sol.Stats()
+	d, k := c.sol.SATStats()
 	return &shardOutcome{
 		discov:    c.discov,
 		exec:      c.exec,
@@ -255,6 +258,8 @@ func childOutcome(c *Engine) *shardOutcome {
 		queries:   q + c.childQueries,
 		hits:      h + c.childHits,
 		modelHits: c.sol.ModelHits() + c.childModelHits,
+		decisions: d + c.childSATDecisions,
+		conflicts: k + c.childSATConflicts,
 		col:       c.col,
 		dma:       c.dma,
 		entries:   c.entries,
@@ -286,6 +291,8 @@ func (e *Engine) applyOutcome(o *shardOutcome) {
 	e.childQueries += o.queries
 	e.childHits += o.hits
 	e.childModelHits += o.modelHits
+	e.childSATDecisions += o.decisions
+	e.childSATConflicts += o.conflicts
 	e.col.Merge(o.col)
 	e.dma.Merge(&o.dma)
 	if !e.entries.Registered() && o.entries.Registered() {

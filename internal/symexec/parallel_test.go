@@ -105,6 +105,30 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestSolverCountersAcrossWorkers checks that the solver counters —
+// queries, cache hits, model reuses and the SAT decisions and
+// conflicts behind them — are merged across fork-join children into
+// the same totals whatever the worker count, and that the children's
+// SAT work is in them at all.
+func TestSolverCountersAcrossWorkers(t *testing.T) {
+	for _, name := range []string{"RTL8029", "AMD PCNet"} {
+		var want [5]int64
+		for _, workers := range []int{1, 4} {
+			eng, r := exploreEngine(t, name, Config{Seed: 1, Workers: workers})
+			got := [5]int64{r.SolverQueries, r.SolverCacheHits, r.SolverModelHits, r.SATDecisions, r.SATConflicts}
+			if own, _ := eng.sol.SATStats(); r.ShardsEffective == 0 || r.SATDecisions <= own {
+				t.Fatalf("%s w%d: %d SAT decisions over %d shards, %d in the root solver alone",
+					name, workers, r.SATDecisions, r.ShardsEffective, own)
+			}
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s: queries/cache/model/decisions/conflicts %v at 1 worker, %v at %d", name, want, got, workers)
+			}
+		}
+	}
+}
+
 // TestParallelDeterminismAcrossRuns re-runs the same parallel
 // configuration twice: scheduling differences between runs must not
 // leak into the result either.

@@ -63,6 +63,8 @@ type ShardResult struct {
 	Queries   int64                `json:"queries"`
 	CacheHits int64                `json:"cache_hits"`
 	ModelHits int64                `json:"model_hits"`
+	Decisions int64                `json:"sat_decisions"`
+	Conflicts int64                `json:"sat_conflicts"`
 	Entries   guestos.EntryPoints  `json:"entries"`
 	Timer     uint32               `json:"timer,omitempty"`
 	DMA       [][2]uint32          `json:"dma,omitempty"`
@@ -168,6 +170,7 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 		discov[i] = WireDiscovery{Addr: d.addr, Exec: d.exec}
 	}
 	q, h := e.sol.Stats()
+	d, k := e.sol.SATStats()
 	return &ShardResult{
 		Completed: encodeStateGroup(completed),
 		Collector: e.col.Encode(),
@@ -178,6 +181,8 @@ func (e *Engine) runShardTask(task *ShardTask) (*ShardResult, error) {
 		Queries:   q,
 		CacheHits: h,
 		ModelHits: e.sol.ModelHits(),
+		Decisions: d,
+		Conflicts: k,
 		Entries:   e.entries,
 		Timer:     e.timer,
 		DMA:       e.dma.Regions(),
@@ -221,6 +226,8 @@ func (e *Engine) decodeShardResult(r *ShardResult) (*shardOutcome, []*State, err
 		queries:   r.Queries,
 		hits:      r.CacheHits,
 		modelHits: r.ModelHits,
+		decisions: r.Decisions,
+		conflicts: r.Conflicts,
 		col:       col,
 		dma:       dma,
 		entries:   r.Entries,

@@ -141,10 +141,12 @@ func TestShardRunnerSolverAndTranslationStats(t *testing.T) {
 	}
 	if res.SolverQueries != direct.SolverQueries ||
 		res.SolverCacheHits != direct.SolverCacheHits ||
-		res.SolverModelHits != direct.SolverModelHits {
-		t.Fatalf("solver stats diverged: remote %d/%d/%d, direct %d/%d/%d",
-			res.SolverQueries, res.SolverCacheHits, res.SolverModelHits,
-			direct.SolverQueries, direct.SolverCacheHits, direct.SolverModelHits)
+		res.SolverModelHits != direct.SolverModelHits ||
+		res.SATDecisions != direct.SATDecisions ||
+		res.SATConflicts != direct.SATConflicts {
+		t.Fatalf("solver stats diverged: remote %d/%d/%d/%d/%d, direct %d/%d/%d/%d/%d",
+			res.SolverQueries, res.SolverCacheHits, res.SolverModelHits, res.SATDecisions, res.SATConflicts,
+			direct.SolverQueries, direct.SolverCacheHits, direct.SolverModelHits, direct.SATDecisions, direct.SATConflicts)
 	}
 	if res.TranslatedBlocks != direct.TranslatedBlocks {
 		t.Fatalf("translated blocks diverged: remote %d, direct %d",
